@@ -25,8 +25,9 @@
 //! bytes and time across the Fig. 3 size sweep extended by the 4M
 //! (and, in full runs, 16M) crossover anchors, each row carrying the
 //! decoupled look-back's per-hop stats (`scanc_lookback`: window,
-//! chain hops, chain-wire cycles, zero-look-back headroom). The
-//! document is validated
+//! chain hops, chain-wire cycles, zero-look-back headroom) and the
+//! kernel and time of the size-adaptive entry point `scan::scan` at
+//! that size (`scan_kernel`, `scan_time_us`). The document is validated
 //! with [`bench::validate_bench_json`] (syntax + sanity bounds,
 //! including the makespan identity on every `critical_path` section)
 //! before it is written.
@@ -40,9 +41,10 @@ use bench::{
 use dtypes::F16;
 use ops::{baselines, compress, radix_sort, topk, SortOrder};
 use scan::ablation::{mcscan_variant, McScanVariant};
+use scan::dispatch::plan;
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::scanc::{scanc, ScanCConfig};
-use scan::{batched_scanu, batched_scanul1, cumsum_vec_only, scanu, scanul1};
+use scan::{batched_scanu, batched_scanul1, cumsum_vec_only, scan, scanu, scanul1};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -325,16 +327,19 @@ fn json_report(spec: &ChipSpec, quick: bool) {
                         )
                     })
                     .unwrap_or_else(|| format!("{{\"window\":{window}}}"));
+                let (kernel, entry) = entry_point(spec, tn, dtype);
                 let row = format!(
                     "{{\"n\":{tn},\"dtype\":\"{dtype}\",\
                      \"mcscan_bytes\":{},\"scanc_bytes\":{},\
                      \"mcscan_time_us\":{},\"scanc_time_us\":{},\
-                     \"scanc_lookback\":{}}}",
+                     \"scanc_lookback\":{},\"scan_kernel\":\"{kernel}\",\
+                     \"scan_time_us\":{:.3}}}",
                     mc.bytes_read + mc.bytes_written,
                     sc.bytes_read + sc.bytes_written,
                     format_args!("{:.3}", mc.time_us()),
                     format_args!("{:.3}", sc.time_us()),
                     lookback,
+                    entry.time_us(),
                 );
                 (Point::Traffic(row), t0.elapsed().as_secs_f64())
             }));
@@ -622,20 +627,17 @@ fn fig10(spec: &ChipSpec, quick: bool) {
     } else {
         sweep(1 << 16, 4, 5)
     };
-    let mut t = Table::new(&["N", "s=32", "s=64", "s=128", "torch.masked_select"]);
+    // The mask scan runs through the size-adaptive entry point (ScanC or
+    // MCScan); the paper's s sweep is Figs. 3-9's, on MCScan itself.
+    let mut t = Table::new(&["N", "compress", "torch.masked_select"]);
     let rows = par(sizes, |n| {
         let vals = synth_f16(n, 1);
         let mask = synth_mask(n, 2);
-        let mut cells = vec![human(n)];
-        for s in [32usize, 64, 128] {
-            let gm = fresh_gm(spec);
-            let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let r = compress(spec, &gm, &x, &m, s, spec.ai_cores)
-                .unwrap()
-                .report;
-            cells.push(format!("{:.0}", r.gbps()));
-        }
+        let gm = fresh_gm(spec);
+        let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+        let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+        let r = compress(spec, &gm, &x, &m, spec.ai_cores).unwrap().report;
+        let mut cells = vec![human(n), format!("{:.0}", r.gbps())];
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
@@ -663,7 +665,7 @@ fn fig11(spec: &ChipSpec, quick: bool) {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-        let r = radix_sort::<F16>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r = radix_sort::<F16>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
@@ -761,28 +763,23 @@ fn fig13(spec: &ChipSpec, quick: bool) {
     } else {
         sweep(1 << 10, 4, 6)
     };
-    let mut t = Table::new(&["vocab", "s=32", "s=64", "s=128", "PyTorch", "s128 speedup"]);
+    let mut t = Table::new(&["vocab", "top-p", "PyTorch", "speedup"]);
     let rows = par(sizes, |n| {
         let probs = synth_probs(n, 9);
-        let mut cells = vec![human(n)];
-        let mut ours128 = 0.0;
-        for s in [32usize, 64, 128] {
-            let gm = fresh_gm(spec);
-            let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s, spec.ai_cores)
-                .unwrap()
-                .report;
-            if s == 128 {
-                ours128 = r.time_s();
-            }
-            cells.push(format!("{:.2}", r.time_ms()));
-        }
+        let gm = fresh_gm(spec);
+        let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
+        let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, spec.ai_cores)
+            .unwrap()
+            .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let (_, b) = baseline_top_p(spec, &gm, &x, 0.9, 0.37).unwrap();
-        cells.push(format!("{:.2}", b.time_ms()));
-        cells.push(format!("{:.2}x", b.time_s() / ours128));
-        cells
+        vec![
+            human(n),
+            format!("{:.2}", r.time_ms()),
+            format!("{:.2}", b.time_ms()),
+            format!("{:.2}x", b.time_s() / r.time_s()),
+        ]
     });
     for cells in rows {
         t.row(cells);
@@ -859,6 +856,23 @@ fn traffic_pair(spec: &ChipSpec, n: usize, dtype: &str) -> (KernelReport, Kernel
     }
 }
 
+/// Runs the size-adaptive entry point `scan::scan` on the traffic
+/// pair's input and returns the kernel it picked with its report.
+fn entry_point(spec: &ChipSpec, n: usize, dtype: &str) -> (&'static str, KernelReport) {
+    let gm = fresh_gm(spec);
+    if dtype == "fp16" {
+        let x = GlobalTensor::from_slice(&gm, &vec![F16::ONE; n]).unwrap();
+        let kernel = plan::<F16, F16, F16>(spec, n, ScanKind::Inclusive).kernel();
+        let run = scan::<F16, F16, F16>(spec, &gm, &x, ScanKind::Inclusive).unwrap();
+        (kernel, run.report)
+    } else {
+        let x = GlobalTensor::from_slice(&gm, &vec![1u8; n]).unwrap();
+        let kernel = plan::<u8, i16, i32>(spec, n, ScanKind::Inclusive).kernel();
+        let run = scan::<u8, i16, i32>(spec, &gm, &x, ScanKind::Inclusive).unwrap();
+        (kernel, run.report)
+    }
+}
+
 /// ScanC vs MCScan: GM traffic (the chained look-back's win) and time
 /// (where the serial flag chain's cost shows) across the Fig. 3 sizes.
 fn scanc_experiment(spec: &ChipSpec, quick: bool) {
@@ -918,9 +932,7 @@ fn topk_experiment(spec: &ChipSpec, quick: bool) {
     let rows = par(ks.clone(), move |k| {
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
-        let r = topk::<F16>(spec, &gm, &x, k, 128, spec.ai_cores)
-            .unwrap()
-            .report;
+        let r = topk::<F16>(spec, &gm, &x, k, spec.ai_cores).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
         let (_, _, b) = baselines::topk_baseline::<F16>(spec, &gm, &x, k).unwrap();
@@ -997,12 +1009,12 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
         let vals8: Vec<i8> = vals16.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals16).unwrap();
-        let r16 = radix_sort::<F16>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r16 = radix_sort::<F16>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals8).unwrap();
-        let r8 = radix_sort::<i8>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r8 = radix_sort::<i8>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
             .unwrap()
             .report;
         vec![

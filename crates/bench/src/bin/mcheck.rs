@@ -6,8 +6,9 @@
 //!        [--max-replays N] [kernel...|all]
 //! ```
 //!
-//! For every selected kernel (default: all seven, including both the
-//! chained and decoupled multi-hop ScanC look-backs), `mcheck`
+//! For every selected kernel (default: all eight, including the chained
+//! and decoupled multi-hop ScanC look-backs and ScanC's exclusive
+//! mode), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -36,13 +37,20 @@ use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
 use scan::{
-    batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
-    ScanKind,
+    batched_scanu, cumsum_vec_only, mcscan, scanc, scanc_kind, scanu, scanul1, McScanConfig,
+    ScanCConfig, ScanKind,
 };
 use std::sync::Arc;
 
 const KERNELS: &[&str] = &[
-    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched",
+    "scanu",
+    "scanul1",
+    "mcscan",
+    "scanc",
+    "scanc-mh",
+    "scanc-excl",
+    "cumsum",
+    "batched",
 ];
 
 fn usage() -> ! {
@@ -210,6 +218,22 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
                 lookback_window: 2,
             };
             let run = scanc::<i8, i16, i32>(&spec, &gm, &x, cfg).expect("scanc launches");
+            run.report.to_json(&spec)
+        }
+        "scanc-excl" => {
+            // The `scanc-mh` shape in exclusive mode: each lane's
+            // shifted store writes one element into its successor's
+            // range (across blocks and waves) and lane 0 stores
+            // y[0] = 0, so every feasible commit order must still be
+            // race-free and replay byte-identically.
+            let x = GlobalTensor::from_slice(&gm, &signal(1200)).expect("device fits input");
+            let cfg = ScanCConfig {
+                s: 16,
+                tiles_per_lane: 1,
+                lookback_window: 2,
+            };
+            let run = scanc_kind::<i8, i16, i32>(&spec, &gm, &x, cfg, ScanKind::Exclusive)
+                .expect("scanc launches");
             run.report.to_json(&spec)
         }
         "cumsum" => {

@@ -482,6 +482,11 @@ impl JsonChecker<'_> {
 /// * every `traffic` row declares a `scanc_lookback` section with a
 ///   window of at least 1 and, when the launch was audited, a
 ///   `zero_lookback_speedup` of at least 1;
+/// * every `traffic` row names the kernel the size-adaptive entry point
+///   `scan::scan` ran (`scan_kernel`: `MCScan` or `ScanC`), and its
+///   `scan_time_us` is at most both `mcscan_time_us` and
+///   `scanc_time_us` (equal to `mcscan_time_us` when it ran MCScan,
+///   whose configuration is the same);
 /// * a flat `host` section is present with `jobs >= 1`, `points >= 1`,
 ///   a positive `host_seconds` wall-clock, a `serial_seconds_est`, and
 ///   one positive `kernel_host_seconds` entry per kernel.
@@ -617,6 +622,32 @@ pub fn validate_bench_json(doc: &str, spec: &ChipSpec) -> Result<(), String> {
                         "traffic row n={n}: zero_lookback_speedup {zl} below 1"
                     ));
                 }
+            }
+            let num = |key| json_num_field(row, key).map_err(|e| format!("traffic row n={n}: {e}"));
+            let (mc, sc, entry) = (
+                num("mcscan_time_us")?,
+                num("scanc_time_us")?,
+                num("scan_time_us")?,
+            );
+            // Times carry three decimals.
+            let tol = 5e-4;
+            match json_str_field(row, "scan_kernel") {
+                Some("MCScan") if (entry - mc).abs() > tol => {
+                    return Err(format!(
+                        "traffic row n={n}: scan ran MCScan in {entry} us, MCScan took {mc} us"
+                    ));
+                }
+                Some("MCScan" | "ScanC") => {}
+                other => {
+                    return Err(format!(
+                        "traffic row n={n}: scan_kernel {other:?} is neither MCScan nor ScanC"
+                    ));
+                }
+            }
+            if entry > mc.min(sc) + tol {
+                return Err(format!(
+                    "traffic row n={n}: scan_time_us {entry} exceeds min(MCScan {mc}, ScanC {sc})"
+                ));
             }
         }
     }
@@ -954,6 +985,36 @@ mod tests {
         assert_ne!(bad, good, "replacement must hit");
         let err = validate_bench_json(&bench_doc(&spec, &bad), &spec).unwrap_err();
         assert!(err.contains("idle stalls"), "{err}");
+    }
+
+    #[test]
+    fn validate_bench_json_gates_the_scan_entry_point_columns() {
+        let spec = ChipSpec::tiny();
+        let gm = fresh_gm(&spec);
+        let t = GlobalTensor::from_slice(&gm, &synth_probs(300, 11)).unwrap();
+        let (_, report) = ops::baselines::cumsum::<F16>(&spec, &gm, &t).unwrap();
+        let kernel = report.to_json(&spec);
+        let doc = |row: &str| {
+            bench_doc(&spec, &kernel).replace("\"traffic\":[]", &format!("\"traffic\":[{row}]"))
+        };
+        let row = |kernel: &str, t: f64| {
+            format!(
+                "{{\"n\":4096,\"dtype\":\"fp16\",\"mcscan_time_us\":12.154,\
+                 \"scanc_time_us\":22.438,\"scanc_lookback\":{{\"window\":2}},\
+                 \"scan_kernel\":\"{kernel}\",\"scan_time_us\":{t:.3}}}"
+            )
+        };
+        let check = |row: &str| validate_bench_json(&doc(row), &spec);
+        check(&row("ScanC", 11.414)).expect("ScanC below both kernels");
+        check(&row("MCScan", 12.154)).expect("MCScan's own time");
+        let err = check(&row("ScanC", 12.2)).unwrap_err();
+        assert!(err.contains("exceeds min"), "{err}");
+        let err = check(&row("MCScan", 11.0)).unwrap_err();
+        assert!(err.contains("MCScan took"), "{err}");
+        let err = check(&row("ScanU", 11.0)).unwrap_err();
+        assert!(err.contains("neither"), "{err}");
+        let err = check(&row("ScanC", 11.0).replace(",\"scan_time_us\":11.000", "")).unwrap_err();
+        assert!(err.contains("scan_time_us"), "{err}");
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   (global/local tensors, queues, intrinsics, kernel launch);
 //! * [`scan`] — the paper's scan algorithms: ScanU, ScanUL1, the
 //!   multi-core MCScan, batched variants, and the vector-only baseline;
+//!   plus the single-pass chained ScanC and the size-adaptive entry
+//!   point [`scan::scan`] that runs whichever of ScanC and MCScan is
+//!   faster at the input's size;
 //! * [`ops`] — scan-based operators: split, compress, radix sort, top-k,
 //!   top-p (nucleus) sampling, weighted sampling, plus the PyTorch-Ascend
-//!   baselines;
+//!   baselines — all scanning through [`scan::scan`];
 //! * [`dtypes`] — software `f16` and the element/radix-key traits.
 //!
 //! ## Quickstart
@@ -28,7 +31,8 @@
 //! // A simulated Ascend 910B4 (20 cube cores, 40 vector cores).
 //! let dev = Device::ascend_910b4();
 //!
-//! // Scan a million-element fp16 array on all cores.
+//! // Scan a million-element fp16 array on all cores (the entry point
+//! // picks ScanC or MCScan by size).
 //! let xs: Vec<F16> = (0..1_000_000).map(|i| F16::from_f32((i % 2) as f32)).collect();
 //! let x = dev.tensor(&xs).unwrap();
 //! let run = dev.cumsum(&x).unwrap();
@@ -100,18 +104,23 @@ impl Device {
         GlobalTensor::new(&self.gm, len)
     }
 
-    /// Inclusive scan with MCScan on all cores (`s = 128`), the paper's
-    /// flagship configuration.
+    /// Inclusive scan through the size-adaptive entry point
+    /// [`scan::scan`]: the single-pass chained ScanC where it beats the
+    /// paper's MCScan (short inputs and bandwidth-bound ones), MCScan
+    /// in between. The scan-based operators take the same path, so a
+    /// CDF computed here is bit-identical to the one `top_p` and
+    /// `weighted_sample` draw from. fp16 rounding depends on the
+    /// kernel's association order; call [`scan::mcscan()`] directly for
+    /// the paper's kernel at every size.
     pub fn cumsum<T: CubeInput>(&self, x: &GlobalTensor<T>) -> SimResult<ScanRun<T>> {
-        scan::mcscan::mcscan::<T, T, T>(&self.spec, &self.gm, x, McScanConfig::for_chip(&self.spec))
+        scan::scan::<T, T, T>(&self.spec, &self.gm, x, ScanKind::Inclusive)
     }
 
     /// Exclusive int8-mask scan (`u8 → i16 → i32`), the split/compress
-    /// building block.
+    /// building block, through the same entry point as [`Device::cumsum`]
+    /// (and the same kernel the split-based operators run).
     pub fn mask_exclusive_scan(&self, mask: &GlobalTensor<u8>) -> SimResult<ScanRun<i32>> {
-        let mut cfg = McScanConfig::for_chip(&self.spec);
-        cfg.kind = ScanKind::Exclusive;
-        scan::mcscan::mcscan::<u8, i16, i32>(&self.spec, &self.gm, mask, cfg)
+        scan::scan::<u8, i16, i32>(&self.spec, &self.gm, mask, ScanKind::Exclusive)
     }
 
     /// Stable split by mask, with original indices.
@@ -120,7 +129,7 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::SplitRun<E>> {
-        ops::split_ind(&self.spec, &self.gm, x, mask, 128, self.spec.ai_cores)
+        ops::split_ind(&self.spec, &self.gm, x, mask, self.spec.ai_cores)
     }
 
     /// `masked_select`: compacts the mask-selected elements.
@@ -129,7 +138,7 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::compress::CompressRun<E>> {
-        ops::compress(&self.spec, &self.gm, x, mask, 128, self.spec.ai_cores)
+        ops::compress(&self.spec, &self.gm, x, mask, self.spec.ai_cores)
     }
 
     /// Stable radix sort (values + argsort indices).
@@ -138,7 +147,7 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::radix_sort(&self.spec, &self.gm, x, 128, self.spec.ai_cores, order)
+        ops::radix_sort(&self.spec, &self.gm, x, self.spec.ai_cores, order)
     }
 
     /// Top-k selection (unsorted top set + indices).
@@ -147,7 +156,7 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::topk(&self.spec, &self.gm, x, k, 128, self.spec.ai_cores)
+        ops::topk(&self.spec, &self.gm, x, k, self.spec.ai_cores)
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector.
@@ -157,15 +166,7 @@ impl Device {
         p: f64,
         theta: f64,
     ) -> SimResult<ops::topp::TopPRun> {
-        ops::top_p_sample(
-            &self.spec,
-            &self.gm,
-            probs,
-            p,
-            theta,
-            128,
-            self.spec.ai_cores,
-        )
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, self.spec.ai_cores)
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).
@@ -174,7 +175,7 @@ impl Device {
         w: &GlobalTensor<W>,
         theta: f64,
     ) -> SimResult<ops::weighted::WeightedRun> {
-        ops::weighted_sample(&self.spec, &self.gm, w, theta, 128, self.spec.ai_cores)
+        ops::weighted_sample(&self.spec, &self.gm, w, theta, self.spec.ai_cores)
     }
 
     /// Sum reduction on the cube units (`A @ 1s` row sums).
@@ -184,7 +185,7 @@ impl Device {
 
     /// Builds an alias table for O(1)-per-draw weighted sampling.
     pub fn alias_table(&self, w: &GlobalTensor<f32>) -> SimResult<ops::AliasTable> {
-        ops::build_alias_table(&self.spec, &self.gm, w, 128, self.spec.ai_cores)
+        ops::build_alias_table(&self.spec, &self.gm, w, self.spec.ai_cores)
     }
 
     /// Draws many samples from an alias table.

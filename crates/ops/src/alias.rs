@@ -23,7 +23,7 @@ use crate::split::split_ind;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::{EngineKind, KernelReport};
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// A built alias table in device memory.
@@ -40,7 +40,7 @@ pub struct AliasTable {
 
 /// Builds an alias table from non-negative `f32` weights.
 ///
-/// Device work: inclusive MCScan of the weights (for the total), a
+/// Device work: inclusive scan of the weights (for the total), a
 /// vector kernel computing the scaled weights and the light/heavy mask,
 /// and a SplitInd partition of the indices. The final Vose pairing over
 /// the partitioned indices is a sequential scalar sweep (charged at
@@ -50,7 +50,6 @@ pub fn build_alias_table(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     w: &GlobalTensor<f32>,
-    s: usize,
     blocks: u32,
 ) -> SimResult<AliasTable> {
     let n = w.len();
@@ -61,16 +60,7 @@ pub fn build_alias_table(
     }
 
     // 1. Total mass via inclusive scan (device).
-    let scan_run = mcscan::<f32, f32, f32>(
-        spec,
-        gm,
-        w,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = scan::<f32, f32, f32>(spec, gm, w, ScanKind::Inclusive)?;
     let total = scan_run.y.read_range(n - 1, 1)?[0] as f64;
     if total <= 0.0 {
         return Err(SimError::InvalidArgument(
@@ -116,7 +106,7 @@ pub fn build_alias_table(
     // 3. Partition item indices into lights-first order (device split —
     // the values being split are the scaled weights; the index output is
     // what the pairing consumes).
-    let split = split_ind::<f32>(spec, gm, &scaled, &mask, s, blocks)?;
+    let split = split_ind::<f32>(spec, gm, &scaled, &mask, blocks)?;
     let n_light = split.n_true;
 
     // 4. Sequential Vose pairing over the partitioned order (host-side
@@ -286,7 +276,7 @@ mod tests {
         let (spec, gm) = setup();
         let w: Vec<f32> = (0..500).map(|i| 1.0 + (i % 7) as f32).collect();
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 2).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 2).unwrap();
         check_table(&t.prob.to_vec(), &t.alias.to_vec(), &w);
     }
 
@@ -295,7 +285,7 @@ mod tests {
         let (spec, gm) = setup();
         let w = vec![3.0f32; 128];
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 1).unwrap();
         assert!(t.prob.to_vec().iter().all(|&p| (p - 1.0).abs() < 1e-6));
     }
 
@@ -306,7 +296,7 @@ mod tests {
         w[42] = 100.0;
         w[17] = 50.0;
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 2).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 2).unwrap();
         check_table(&t.prob.to_vec(), &t.alias.to_vec(), &w);
     }
 
@@ -317,7 +307,7 @@ mod tests {
         let mut w = vec![1.0f32; 10];
         w[5] = 81.0;
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 1).unwrap();
         // A deterministic grid of variates approximates expectation.
         let thetas: Vec<(f64, f64)> = (0..400)
             .map(|i| {
@@ -341,11 +331,11 @@ mod tests {
     fn rejects_bad_inputs() {
         let (spec, gm) = setup();
         let empty = GlobalTensor::<f32>::new(&gm, 0).unwrap();
-        assert!(build_alias_table(&spec, &gm, &empty, 16, 1).is_err());
+        assert!(build_alias_table(&spec, &gm, &empty, 1).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 8]).unwrap();
-        assert!(build_alias_table(&spec, &gm, &zeros, 16, 1).is_err());
+        assert!(build_alias_table(&spec, &gm, &zeros, 1).is_err());
         let w = GlobalTensor::from_slice(&gm, &[1.0f32; 8]).unwrap();
-        let t = build_alias_table(&spec, &gm, &w, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &w, 1).unwrap();
         assert!(alias_sample_many(&spec, &gm, &t, &[]).is_err());
         assert!(alias_sample_many(&spec, &gm, &t, &[(1.2, 0.5)]).is_err());
     }

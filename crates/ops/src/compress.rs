@@ -2,7 +2,7 @@
 //! the equivalent of PyTorch's `torch.masked_select`.
 //!
 //! Compress is the true-side half of [`crate::split::split_ind`]: an
-//! exclusive int8 MCScan over the mask yields each selected element's
+//! exclusive int8 scan over the mask yields each selected element's
 //! output offset, and a vector scatter kernel gathers and stores the
 //! selected elements. The paper's Fig. 10 benchmarks this against the
 //! (scalar-bound) `torch.masked_select` baseline.
@@ -12,7 +12,7 @@ use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::Element;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`compress`].
@@ -31,7 +31,6 @@ pub fn compress<E: Element>(
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<E>,
     mask: &GlobalTensor<u8>,
-    s: usize,
     blocks: u32,
 ) -> SimResult<CompressRun<E>> {
     if x.len() != mask.len() {
@@ -67,16 +66,7 @@ pub fn compress<E: Element>(
         });
     }
 
-    let scan_run = mcscan::<u8, i16, i32>(
-        spec,
-        gm,
-        mask,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Exclusive,
-        },
-    )?;
+    let scan_run = scan::<u8, i16, i32>(spec, gm, mask, ScanKind::Exclusive)?;
     let offs = scan_run.y;
     let n_true =
         (offs.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0])) as usize;
@@ -118,7 +108,7 @@ mod tests {
             let mask: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let run = compress(&spec, &gm, &x, &m, 16, 2).unwrap();
+            let run = compress(&spec, &gm, &x, &m, 2).unwrap();
             let expect: Vec<u16> = data
                 .iter()
                 .zip(&mask)
@@ -137,7 +127,7 @@ mod tests {
         let mask: Vec<u8> = (0..300).map(|i| u8::from(i % 3 == 0)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16, 2).unwrap();
+        let run = compress(&spec, &gm, &x, &m, 2).unwrap();
         let expect: Vec<F16> = data
             .iter()
             .zip(&mask)
@@ -152,7 +142,7 @@ mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[5u16; 100]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[0u8; 100]).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = compress(&spec, &gm, &x, &m, 1).unwrap();
         assert_eq!(run.n_true, 0);
         assert!(run.values.to_vec().is_empty());
     }
@@ -162,9 +152,9 @@ mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::<u16>::new(&gm, 0).unwrap();
         let m = GlobalTensor::<u8>::new(&gm, 0).unwrap();
-        assert_eq!(compress(&spec, &gm, &x, &m, 16, 1).unwrap().n_true, 0);
+        assert_eq!(compress(&spec, &gm, &x, &m, 1).unwrap().n_true, 0);
         let x = GlobalTensor::from_slice(&gm, &[1u16]).unwrap();
         let m2 = GlobalTensor::from_slice(&gm, &[1u8, 1]).unwrap();
-        assert!(compress(&spec, &gm, &x, &m2, 16, 1).is_err());
+        assert!(compress(&spec, &gm, &x, &m2, 1).is_err());
     }
 }

@@ -1,5 +1,7 @@
-//! Scan-based computational operators (the paper's Section 5), built on
-//! the MCScan algorithm from the [`scan`] crate:
+//! Scan-based computational operators (the paper's Section 5). Every
+//! operator scans through [`scan::scan`], the size-adaptive entry point
+//! that runs MCScan or the chained ScanC, whichever is faster at the
+//! input's size — the same kernel `Device::cumsum` picks:
 //!
 //! * [`split::split_ind`] — **SplitInd**: stable partition of an array by
 //!   a boolean mask, also returning the original indices (the PyTorch

@@ -3,7 +3,7 @@
 //! The sort loops over the bits of the (order-preserving encoded) keys,
 //! least significant first, and performs one stable [`split`] per bit
 //! with the mask "bit is 0" (ascending). Each split is an exclusive
-//! int8 MCScan — running on the cube units — plus a vector scatter; the
+//! int8 scan — running on the cube units — plus a vector scatter; the
 //! **RadixSingle** vector kernel extracts each pass's radix with
 //! `ShiftRight`/`And`/`Compare`.
 //!
@@ -24,7 +24,7 @@ use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimResult};
 use dtypes::{Element, Numeric, RadixKey};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Sort direction.
@@ -50,14 +50,14 @@ pub struct SortRun<K: Element> {
 const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), using the
-/// MCScan-based split for every bit plane.
+/// scan-based split for every bit plane.
 ///
-/// `s`/`blocks` configure the underlying MCScan launches.
+/// `blocks` configures the encode, radix-extraction and scatter
+/// launches; the scans size themselves ([`scan::scan`]).
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
-    s: usize,
     blocks: u32,
     order: SortOrder,
 ) -> SimResult<SortRun<K>>
@@ -95,16 +95,7 @@ where
             spec, gm, blocks, &keys_a, &mask, bit, order,
         )?);
 
-        let scan_run = mcscan::<u8, i16, i32>(
-            spec,
-            gm,
-            &mask,
-            McScanConfig {
-                s,
-                blocks,
-                kind: ScanKind::Exclusive,
-            },
-        )?;
+        let scan_run = scan::<u8, i16, i32>(spec, gm, &mask, ScanKind::Exclusive)?;
         let offs = scan_run.y;
         reports.push(scan_run.report);
         let n_true =
@@ -319,7 +310,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data: Vec<u16> = (0..3000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -335,7 +326,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let data: Vec<i16> = (0..2000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -353,7 +344,7 @@ mod tests {
         data.push(F16::NEG_ZERO);
         data.push(F16::ZERO);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_by(F16::total_cmp);
         let got = run.values.to_vec();
@@ -370,7 +361,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data: Vec<u16> = (0..1000).map(|_| rng.gen_range(0..500)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -382,7 +373,7 @@ mod tests {
         // All-equal keys: a stable sort keeps indices in order.
         let data = vec![42u16; 600];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap();
         assert_eq!(run.indices.to_vec(), (0..600u32).collect::<Vec<_>>());
     }
 
@@ -392,7 +383,7 @@ mod tests {
         for n in [0usize, 1, 2, 3] {
             let data: Vec<u16> = (0..n as u16).rev().collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let run = radix_sort(&spec, &gm, &x, 16, 1, SortOrder::Ascending).unwrap();
+            let run = radix_sort(&spec, &gm, &x, 1, SortOrder::Ascending).unwrap();
             let mut expect = data.clone();
             expect.sort_unstable();
             assert_eq!(run.values.to_vec(), expect, "n = {n}");
@@ -407,7 +398,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let data: Vec<i8> = (0..1500).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -419,7 +410,7 @@ mod tests {
         let (spec, gm) = setup();
         let data: Vec<u8> = (0..900).map(|i| ((i * 31) % 251) as u8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 2, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -431,7 +422,7 @@ mod tests {
         let (spec, gm) = setup();
         let data: Vec<F16> = (0..100).map(|i| F16::from_f32(i as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 1, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 1, SortOrder::Ascending).unwrap();
         // Each of the 16 MCScans contributes exactly one SyncAll.
         assert_eq!(run.report.sync_rounds, 16);
     }

@@ -4,7 +4,7 @@
 //! come first (in order), followed by all elements whose flag is false
 //! (in order). The implementation follows the paper exactly:
 //!
-//! 1. an **exclusive MCScan** over the int8 mask computes, for every
+//! 1. an **exclusive scan** over the int8 mask computes, for every
 //!    position, how many true elements precede it — i.e. the output
 //!    offset of each true element (and, by arithmetic, of each false
 //!    element);
@@ -20,7 +20,7 @@ use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::Element;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`split_ind`].
@@ -43,14 +43,13 @@ const SCATTER_PIECE_CAP: usize = 2048;
 /// Stable split of `x` by `mask` (`1` = first partition). Returns the
 /// partitioned values, their original indices, and the true count.
 ///
-/// `s` and `blocks` configure the underlying MCScan (the scatter kernel
-/// uses the same block count).
+/// `blocks` configures the scatter kernel; the mask scan sizes itself
+/// ([`scan::scan`]).
 pub fn split_ind<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<E>,
     mask: &GlobalTensor<u8>,
-    s: usize,
     blocks: u32,
 ) -> SimResult<SplitRun<E>> {
     if x.len() != mask.len() {
@@ -73,17 +72,8 @@ pub fn split_ind<E: Element>(
         });
     }
 
-    // 1. Exclusive scan of the mask on the int8 MCScan path.
-    let scan_run = mcscan::<u8, i16, i32>(
-        spec,
-        gm,
-        mask,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Exclusive,
-        },
-    )?;
+    // 1. Exclusive scan of the mask on the int8 path.
+    let scan_run = scan::<u8, i16, i32>(spec, gm, mask, ScanKind::Exclusive)?;
     let offs = scan_run.y;
     let n_true =
         (offs.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0])) as usize;
@@ -289,7 +279,7 @@ mod tests {
         let mask: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 2).unwrap();
         let (ev, ei, ent) = reference_split(&data, &mask);
         assert_eq!(run.n_true, ent, "n = {n}");
         assert_eq!(run.values.to_vec(), ev, "n = {n}");
@@ -311,7 +301,7 @@ mod tests {
             let mask = vec![flag; 500];
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
+            let run = split_ind(&spec, &gm, &x, &m, 2).unwrap();
             assert_eq!(run.n_true, if flag == 1 { 500 } else { 0 });
             assert_eq!(run.values.to_vec(), data);
             assert_eq!(run.indices.to_vec(), (0..500u32).collect::<Vec<_>>());
@@ -326,7 +316,7 @@ mod tests {
         let mask = vec![1u8, 0, 1, 0, 0];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 1).unwrap();
         assert_eq!(run.values.to_vec(), vec![7, 7, 3, 3, 7]);
         assert_eq!(run.indices.to_vec(), vec![0, 2, 1, 3, 4]);
     }
@@ -336,7 +326,7 @@ mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[1u8, 0, 1]).unwrap();
-        assert!(split_ind(&spec, &gm, &x, &m, 16, 1).is_err());
+        assert!(split_ind(&spec, &gm, &x, &m, 1).is_err());
     }
 
     #[test]
@@ -344,7 +334,7 @@ mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::<u16>::new(&gm, 0).unwrap();
         let m = GlobalTensor::<u8>::new(&gm, 0).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 1).unwrap();
         assert_eq!(run.n_true, 0);
         assert!(run.values.to_vec().is_empty());
     }
@@ -357,7 +347,7 @@ mod tests {
         let mask: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 2).unwrap();
         assert!(run.report.sync_rounds >= 1, "MCScan's barrier is counted");
         assert!(
             run.report.cycles > 2 * spec.launch_cycles,

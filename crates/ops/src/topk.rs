@@ -22,7 +22,7 @@ use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, Numeric, RadixKey};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`topk`].
@@ -43,7 +43,6 @@ pub fn topk<K>(
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     k: usize,
-    s: usize,
     blocks: u32,
 ) -> SimResult<TopKRun<K>>
 where
@@ -84,16 +83,7 @@ where
             spec, gm, blocks, &keys_view, &mask, bit,
         )?);
 
-        let scan_run = mcscan::<u8, i16, i32>(
-            spec,
-            gm,
-            &mask,
-            McScanConfig {
-                s,
-                blocks,
-                kind: ScanKind::Exclusive,
-            },
-        )?;
+        let scan_run = scan::<u8, i16, i32>(spec, gm, &mask, ScanKind::Exclusive)?;
         let offs = scan_run.y;
         reports.push(scan_run.report);
         let n_ones =
@@ -327,7 +317,7 @@ mod tests {
     fn check_topk_u16(data: &[u16], k: usize) {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
-        let run = topk(&spec, &gm, &x, k, 16, 2).unwrap();
+        let run = topk(&spec, &gm, &x, k, 2).unwrap();
         let mut got = run.values.to_vec();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect = data.to_vec();
@@ -371,7 +361,7 @@ mod tests {
             .map(|_| F16::from_f32(rng.gen_range(-50.0f32..50.0)))
             .collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = topk(&spec, &gm, &x, 10, 16, 2).unwrap();
+        let run = topk(&spec, &gm, &x, 10, 2).unwrap();
         let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect: Vec<u16> = data.iter().map(|v| v.encode()).collect();
@@ -384,7 +374,7 @@ mod tests {
     fn rejects_bad_k() {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2, 3]).unwrap();
-        assert!(topk(&spec, &gm, &x, 0, 16, 1).is_err());
-        assert!(topk(&spec, &gm, &x, 4, 16, 1).is_err());
+        assert!(topk(&spec, &gm, &x, 0, 1).is_err());
+        assert!(topk(&spec, &gm, &x, 4, 1).is_err());
     }
 }

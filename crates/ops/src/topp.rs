@@ -9,14 +9,14 @@
 //! operators:
 //!
 //! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16);
-//! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan —
+//! 2. inclusive [`scan`] of the sorted probabilities (1 scan —
 //!    17 scans per batch total, the paper's count);
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).
 //!
 //! [`radix_sort`]: crate::radix_sort::radix_sort
-//! [`mcscan`]: scan::mcscan::mcscan
+//! [`scan`]: scan::scan
 
 use crate::radix_sort::{radix_sort, SortOrder};
 use crate::weighted::cdf_search;
@@ -24,7 +24,7 @@ use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, F16};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`top_p_sample`].
@@ -40,15 +40,15 @@ pub struct TopPRun {
 /// Draws one token by nucleus sampling from `probs` with threshold `p`,
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
-/// `probs` need not be normalized (the draw is proportional). `s` and
-/// `blocks` configure the underlying MCScan launches.
+/// `probs` need not be normalized (the draw is proportional). `blocks`
+/// configures the sort's and the search's vector launches; the scans
+/// size themselves ([`scan::scan`]).
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     probs: &GlobalTensor<F16>,
     p: f64,
     theta: f64,
-    s: usize,
     blocks: u32,
 ) -> SimResult<TopPRun> {
     let n = probs.len();
@@ -69,19 +69,10 @@ pub fn top_p_sample(
     }
 
     // 1. Sort descending (values + original token ids).
-    let sorted = radix_sort::<F16>(spec, gm, probs, s, blocks, SortOrder::Descending)?;
+    let sorted = radix_sort::<F16>(spec, gm, probs, blocks, SortOrder::Descending)?;
 
     // 2. Cumulative sum of the sorted probabilities.
-    let scan_run = mcscan::<F16, F16, F16>(
-        spec,
-        gm,
-        &sorted.values,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = scan::<F16, F16, F16>(spec, gm, &sorted.values, ScanKind::Inclusive)?;
     let cdf = scan_run.y;
 
     // 3. Count the kept prefix: token i stays while its *exclusive*
@@ -131,7 +122,6 @@ pub fn top_p_sample_batch(
     vocab: usize,
     p: f64,
     thetas: &[f64],
-    s: usize,
     blocks: u32,
 ) -> SimResult<(Vec<u32>, KernelReport)> {
     if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
@@ -150,7 +140,7 @@ pub fn top_p_sample_batch(
     let mut reports = Vec::with_capacity(batch);
     for (b, &theta) in thetas.iter().enumerate() {
         let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, s, blocks)?;
+        let run = top_p_sample(spec, gm, &row, p, theta, blocks)?;
         tokens.push(run.token);
         reports.push(run.report);
     }
@@ -244,18 +234,18 @@ mod tests {
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         // p = 0.5: nucleus is {token 3} alone.
         for theta in [0.0, 0.5, 0.99] {
-            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 16, 2).unwrap();
+            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 2).unwrap();
             assert_eq!(run.n_kept, 1);
             assert_eq!(run.token, 3, "theta = {theta}");
         }
         // p = 0.85: nucleus is {3, 7}.
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 16, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 2).unwrap();
         assert_eq!(run.n_kept, 2);
         assert_eq!(
             run.token, 7,
             "theta 0.9 of mass 0.9 falls in token 7's slice"
         );
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 16, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 2).unwrap();
         assert_eq!(run.token, 3);
     }
 
@@ -264,7 +254,7 @@ mod tests {
         let (spec, gm) = setup();
         let probs: Vec<F16> = (1..=64).map(|i| F16::from_f32(i as f32)).collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 1).unwrap();
         assert_eq!(run.n_kept, 64);
         // theta ~ 1 lands in the tail of the descending-sorted CDF: the
         // smallest kept probability.
@@ -277,7 +267,7 @@ mod tests {
         let mut probs = vec![F16::ZERO; 50];
         probs[20] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 1).unwrap();
         assert_eq!(run.n_kept, 1);
         assert_eq!(run.token, 20);
     }
@@ -291,7 +281,7 @@ mod tests {
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 1).unwrap();
         assert_eq!(
             run.report.sync_rounds, 17,
             "the paper's 17-scans-per-batch count"
@@ -309,22 +299,22 @@ mod tests {
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let (tokens, report) =
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16, 2).unwrap();
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 2).unwrap();
         assert_eq!(tokens, vec![7, 31, 99]);
         // 17 scans per batch element (the paper's accounting).
         assert_eq!(report.sync_rounds, 17 * batch as u64);
         // Shape errors are rejected.
-        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16, 2).is_err());
-        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16, 2).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 2).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 2).is_err());
     }
 
     #[test]
     fn rejects_bad_args() {
         let (spec, gm) = setup();
         let t = GlobalTensor::from_slice(&gm, &[F16::ONE; 8]).unwrap();
-        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 16, 1).is_err());
-        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 1).is_err());
         let empty = GlobalTensor::<F16>::new(&gm, 0).unwrap();
-        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 1).is_err());
     }
 }

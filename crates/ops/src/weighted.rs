@@ -1,7 +1,7 @@
 //! **Weighted sampling** by inverse transform — §5 "Weighted Sampling".
 //!
 //! Given non-negative weights `w`, draw index `i` with probability
-//! `w[i] / Σw`: scan the weights (MCScan), then invoke SplitInd with the
+//! `w[i] / Σw`: scan the weights ([`scan::scan`]), then invoke SplitInd with the
 //! element-wise predicate `scan(w)[i] > θ·Σw` for a uniform `θ` — the
 //! cumulative sums exceeding the threshold form the true partition, and
 //! the last entry of SplitInd's index output identifies the boundary,
@@ -15,7 +15,7 @@ use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::Numeric;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::{scan, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`weighted_sample`].
@@ -37,7 +37,6 @@ pub fn weighted_sample<W>(
     gm: &Arc<GlobalMemory>,
     w: &GlobalTensor<W>,
     theta: f64,
-    s: usize,
     blocks: u32,
 ) -> SimResult<WeightedRun>
 where
@@ -56,16 +55,7 @@ where
     }
 
     // 1. Inclusive scan of the weights.
-    let scan_run = mcscan::<W, W, W>(
-        spec,
-        gm,
-        w,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = scan::<W, W, W>(spec, gm, w, ScanKind::Inclusive)?;
     let cdf = scan_run.y;
     let total = cdf.read_range(n - 1, 1)?[0].to_f64();
     if total <= 0.0 {
@@ -186,7 +176,7 @@ mod tests {
             (0.45, 2),      // 4.5 in (3, 6]
             (0.95, 3),      // 9.5 in (6, 10]
         ] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16, 1).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 1).unwrap();
             assert_eq!(run.index, expect, "theta = {theta}");
         }
     }
@@ -198,7 +188,7 @@ mod tests {
         w[777] = 5.0;
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
         for theta in [0.0, 0.3, 0.9] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16, 2).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 2).unwrap();
             assert_eq!(run.index, 777);
         }
     }
@@ -216,7 +206,7 @@ mod tests {
             })
             .collect();
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16, 2).unwrap();
+        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5, 2).unwrap();
         assert_eq!(run.index, 100);
     }
 
@@ -228,7 +218,7 @@ mod tests {
         let (spec, gm) = setup();
         let w = vec![1.0f32; 70000];
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16, 2).unwrap();
+        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5, 2).unwrap();
         // Uniform weights: theta = 0.5 lands near the middle.
         assert!(
             (run.index as i64 - 35000).abs() < 100,
@@ -241,10 +231,10 @@ mod tests {
     fn rejects_bad_input() {
         let (spec, gm) = setup();
         let t = GlobalTensor::<f32>::new(&gm, 0).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5, 1).is_err());
         let t = GlobalTensor::from_slice(&gm, &[1.0f32]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 1).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 10]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 1).is_err());
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::mcscan::{mcscan, McScanConfig, ScanKind};
 use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_spans};
+use crate::util::{check_tile_dim, partition, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, TQue};
@@ -104,16 +104,11 @@ where
     }
 }
 
-fn check_cfg(spec: &ChipSpec, cfg: &McScanConfig) -> SimResult<()> {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
+fn check_cfg(spec: &ChipSpec, cfg: &McScanConfig, kernel: &str) -> SimResult<()> {
+    check_tile_dim(kernel, cfg.s)?;
     if cfg.blocks == 0 || cfg.blocks > spec.ai_cores {
         return Err(SimError::InvalidArgument(format!(
-            "blocks {} out of range 1..={}",
+            "{kernel}: blocks {} out of range 1..={}",
             cfg.blocks, spec.ai_cores
         )));
     }
@@ -245,7 +240,7 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
+    check_cfg(spec, &cfg, "MCScan(strided-totals)")?;
     let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, n)?;
@@ -350,7 +345,7 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
+    check_cfg(spec, &cfg, "SSA(full)")?;
     let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, n)?;
@@ -461,7 +456,7 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
+    check_cfg(spec, &cfg, "RSS")?;
     let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, n)?;

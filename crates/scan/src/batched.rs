@@ -17,7 +17,7 @@
 //! progresses at a time).
 
 use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
+use crate::util::{check_tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
@@ -34,11 +34,7 @@ fn check_batched_args(
     s: usize,
     what: &str,
 ) -> SimResult<()> {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "{what}: s must be a positive multiple of 16, got {s}"
-        )));
-    }
+    check_tile_dim(what, s)?;
     if batch == 0 || len == 0 || batch * len != total {
         return Err(SimError::InvalidArgument(format!(
             "{what}: batch {batch} x len {len} does not match tensor of {total} elements"

@@ -24,7 +24,11 @@
 //!   inclusive prefix to a per-lane global-memory mailbox guarded by a
 //!   launch-wide grid flag, and its successor looks back instead of
 //!   waiting at a `SyncAll`. Moves ~2·N element accesses less than
-//!   MCScan at the cost of a serial per-lane flag chain.
+//!   MCScan at the cost of a serial per-lane flag chain. Inclusive or
+//!   exclusive ([`scanc::scanc_kind`]).
+//! * [`dispatch::scan`] — the size-adaptive entry point: runs ScanC or
+//!   MCScan, whichever is faster for the input's length, element types
+//!   and chip. `Device` and every scan-based operator scan through it.
 //! * [`batched`] — batched variants of ScanU and ScanUL1 for
 //!   multi-dimensional inputs.
 //! * [`baseline::cumsum_vec_only`] — the vector-only `CumSum` kernel
@@ -38,6 +42,7 @@
 pub mod ablation;
 pub mod baseline;
 pub mod batched;
+pub mod dispatch;
 pub mod mcscan;
 pub mod reduce;
 pub mod reference;
@@ -50,9 +55,10 @@ pub(crate) mod util;
 pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
+pub use dispatch::{scan, ScanPlan};
 pub use mcscan::{mcscan, McScanConfig, ScanKind};
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
-pub use scanc::{scanc, ScanCConfig};
+pub use scanc::{scanc, scanc_kind, ScanCConfig};
 pub use scanu::scanu;
 pub use scanul1::scanul1;
 

@@ -21,7 +21,7 @@
 //! peak memory bandwidth (the paper's 37.5%).
 
 use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_spans};
+use crate::util::{check_tile_dim, partition, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
@@ -92,12 +92,7 @@ where
     M: Numeric,
     O: Numeric,
 {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "MCScan: s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
+    check_tile_dim("MCScan", cfg.s)?;
     if cfg.blocks == 0 {
         return Err(SimError::InvalidArgument(format!(
             "MCScan: blocks must be at least 1 (grids beyond the chip's {} AI \

@@ -18,7 +18,7 @@
 //! hardware reduction.
 
 use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_spans};
+use crate::util::{check_tile_dim, partition, tile_spans};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{
@@ -48,11 +48,7 @@ pub fn reduce_cube<T>(
 where
     T: CubeInput,
 {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "reduce_cube: s must be a positive multiple of 16, got {s}"
-        )));
-    }
+    check_tile_dim("reduce_cube", s)?;
     if blocks == 0 || blocks > spec.ai_cores {
         return Err(SimError::InvalidArgument(format!(
             "reduce_cube: blocks {blocks} out of range 1..={}",

@@ -40,6 +40,9 @@
 //! order (wave-multiplexing grids larger than the chip), the look-back
 //! is always *backward* and never deadlocks, even oversubscribed.
 //!
+//! The exclusive scan ([`scanc_kind`]) is the same launch with each
+//! lane's output stores shifted right by one element.
+//!
 //! Global-memory traffic: the input is read once (cube), the
 //! intermediate written once and read once, the output written once —
 //! `8` bytes/element for fp16 (vs. MCScan's `10`) and `9` for int8
@@ -48,8 +51,8 @@
 //! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
 use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
-use crate::{finish_report, ScanRun};
+use crate::util::{check_tile_dim, tile_spans};
+use crate::{finish_report, ScanKind, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
     launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
@@ -84,7 +87,27 @@ impl ScanCConfig {
     /// next to the `M`-typed staging buffer, and the widest look-back
     /// window the chip's flag-id file supports (capped at 4).
     pub fn for_chip<M: Element, O: Element>(spec: &ChipSpec) -> Self {
-        let s = 128;
+        Self::ub_filling::<M, O>(spec, 128)
+    }
+
+    /// Configuration sized for an `n`-element scan: the chip's largest
+    /// cube tile `s ≤ 128` that fits L0 and UB for the element types, and
+    /// `tiles_per_lane = clamp(⌈tiles / lanes⌉, 1, UB cap)`, where
+    /// `lanes` is the chip's vector-core count and the UB cap is
+    /// [`ScanCConfig::for_chip`]'s resident-tile count. Small inputs
+    /// thus spread one tile per vector core instead of queueing on one
+    /// or two UB-filling lanes; from `cap · lanes` tiles up this is
+    /// `for_chip`'s configuration.
+    pub fn for_len<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec, n: usize) -> Self {
+        let mut cfg = Self::ub_filling::<M, O>(spec, crate::dispatch::tile_dim::<T, M, O>(spec));
+        let tiles = n.div_ceil(cfg.s * cfg.s);
+        let lanes = (spec.ai_cores * spec.vec_per_core) as usize;
+        cfg.tiles_per_lane = tiles.div_ceil(lanes).clamp(1, cfg.tiles_per_lane);
+        cfg
+    }
+
+    /// `for_chip` with tile dimension `s`.
+    pub(crate) fn ub_filling<M: Element, O: Element>(spec: &ChipSpec, s: usize) -> Self {
         let l = s * s;
         let budget = spec.ub_capacity.saturating_sub(l * M::SIZE + 256);
         let mut w = 4usize;
@@ -181,12 +204,27 @@ where
     M: Numeric,
     O: Numeric,
 {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanC: s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
+    scanc_kind::<T, M, O>(spec, gm, x, cfg, ScanKind::Inclusive)
+}
+
+/// [`scanc`] with a choice of inclusive or exclusive output. The
+/// exclusive scan costs the same launch: each lane stores its offset
+/// tiles shifted right by one element (a tile's last inclusive value
+/// lands on the next tile's first slot, across lanes too), the scan's
+/// very last value is dropped, and lane 0 writes `y[0] = 0`.
+pub fn scanc_kind<T, M, O>(
+    spec: &ChipSpec,
+    gm: &Arc<GlobalMemory>,
+    x: &GlobalTensor<T>,
+    cfg: ScanCConfig,
+    kind: ScanKind,
+) -> SimResult<ScanRun<O>>
+where
+    T: CubeInput,
+    M: Numeric,
+    O: Numeric,
+{
+    check_tile_dim("ScanC", cfg.s)?;
     if cfg.tiles_per_lane == 0 {
         return Err(SimError::InvalidArgument(
             "ScanC: tiles_per_lane must be at least 1".into(),
@@ -319,6 +357,14 @@ where
             let lane_edges = &edges[lane];
             let flags = &ctx.flags;
             let vc = &mut ctx.vecs[v];
+            if kind == ScanKind::Exclusive && lane == 0 {
+                // Nothing precedes y[0]; store it before any look-back
+                // so it stays off the chain.
+                let mut zero = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
+                vc.insert(&mut zero, 0, O::zero(), 0)?;
+                vc.copy_out(&y, 0, &zero, 0, 1, &[])?;
+                vc.free_local(zero)?;
+            }
 
             // Probe every look-back edge *before* the tile loop: the
             // poll is priced now (one flag slot each), the predecessor
@@ -447,11 +493,18 @@ where
                 vc.span_end_at(lookback, prev_ready);
             }
 
-            // Finish the lane: offset the tiles and store y.
+            // Finish the lane: offset the tiles and store y (shifted
+            // one element right for an exclusive scan).
             for (i, buf) in bufs.iter_mut().enumerate() {
                 let (off, valid) = tiles[t0 + i];
                 vc.vadds(buf, 0, valid, prev, prev_ready)?;
-                vc.copy_out(&y, off, buf, 0, valid, &[])?;
+                let (dst, len) = match kind {
+                    ScanKind::Inclusive => (off, valid),
+                    ScanKind::Exclusive => (off + 1, valid.min(n - off - 1)),
+                };
+                if len > 0 {
+                    vc.copy_out(&y, dst, buf, 0, len, &[])?;
+                }
             }
             for buf in bufs {
                 vc.free_local(buf)?;
@@ -586,6 +639,69 @@ mod tests {
         );
         assert_eq!(run.report.blocks, 6);
         assert!(run.report.blocks > spec.ai_cores);
+    }
+
+    #[test]
+    fn exclusive_oversubscribed_lanes_wave_multiplex() {
+        // tpl=1 → 12 lanes → 6 blocks on 2 AI cores, w = 2: every lane
+        // but the last stores one value into its successor's range,
+        // including successors in a later wave.
+        let (spec, gm) = setup();
+        let data: Vec<i8> = (0..3000).map(|i| ((i * 5) % 9) as i8 - 4).collect();
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let run =
+            scanc_kind::<i8, i16, i32>(&spec, &gm, &x, cfg(16, 1), ScanKind::Exclusive).unwrap();
+        assert_eq!(
+            run.y.to_vec(),
+            reference::exclusive_widening::<i8, i32>(&data)
+        );
+        assert_eq!(run.report.blocks, 6);
+        assert_eq!(run.report.sync_rounds, 0);
+    }
+
+    #[test]
+    fn exclusive_matches_mcscan_exclusive_and_moves_fewer_bytes() {
+        let (spec, gm) = setup();
+        let data: Vec<u8> = (0..5000).map(|i| ((i * 13) % 3 == 0) as u8).collect();
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let sc =
+            scanc_kind::<u8, i16, i32>(&spec, &gm, &x, cfg(16, 2), ScanKind::Exclusive).unwrap();
+        let mc = mcscan::<u8, i16, i32>(
+            &spec,
+            &gm,
+            &x,
+            McScanConfig {
+                s: 16,
+                blocks: 2,
+                kind: ScanKind::Exclusive,
+            },
+        )
+        .unwrap();
+        assert_eq!(sc.y.to_vec(), mc.y.to_vec());
+        assert!(
+            sc.report.bytes_read + sc.report.bytes_written
+                < mc.report.bytes_read + mc.report.bytes_written
+        );
+    }
+
+    #[test]
+    fn for_len_spreads_small_inputs_and_caps_at_for_chip() {
+        let spec = ChipSpec::ascend_910b4();
+        let cap = ScanCConfig::for_chip::<F16, F16>(&spec);
+        let l = cap.s * cap.s;
+        // One tile per vector core until the lanes run out, then the
+        // UB-filling lanes of `for_chip`.
+        for (tiles, tpl) in [(1, 1), (40, 1), (41, 2), (120, 3), (160, 4), (1024, 4)] {
+            let got = ScanCConfig::for_len::<F16, F16, F16>(&spec, tiles * l);
+            assert_eq!(got.tiles_per_lane, tpl, "{tiles} tiles");
+            assert_eq!((got.s, got.lookback_window), (cap.s, cap.lookback_window));
+        }
+        assert_eq!(cap.tiles_per_lane, 4);
+        // The tiny chip's L0A holds 32×32 fp16 tiles, not 128×128.
+        assert_eq!(
+            ScanCConfig::for_len::<F16, F16, F16>(&ChipSpec::tiny(), 1).s,
+            32
+        );
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! (double buffering), exactly as in the paper's Figure 2.
 
 use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
+use crate::util::{check_tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
-use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
-};
+use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimResult, SpanArgs, TQue};
 use dtypes::{CubeInput, Numeric};
 use std::sync::Arc;
 
@@ -34,11 +32,7 @@ where
     T: CubeInput,
     O: Numeric,
 {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanU: s must be a positive multiple of 16, got {s}"
-        )));
-    }
+    check_tile_dim("ScanU", s)?;
     let n = x.len();
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;

@@ -1,5 +1,18 @@
 //! Shared tiling helpers for the scan kernels.
 
+use ascendc::{SimError, SimResult};
+
+/// Rejects a matmul tile dimension `s` that is not a positive multiple
+/// of 16 (the cube's fractal size), naming `kernel` in the error.
+pub(crate) fn check_tile_dim(kernel: &str, s: usize) -> SimResult<()> {
+    if s == 0 || !s.is_multiple_of(16) {
+        return Err(SimError::InvalidArgument(format!(
+            "{kernel}: s must be a positive multiple of 16, got {s}"
+        )));
+    }
+    Ok(())
+}
+
 /// Splits `[0, n)` into spans of at most `tile` elements:
 /// `(offset, valid)` pairs in order.
 pub(crate) fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {

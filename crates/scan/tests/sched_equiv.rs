@@ -28,8 +28,8 @@ use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimResul
 use dtypes::F16;
 use proptest::prelude::*;
 use scan::{
-    batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
-    ScanKind,
+    batched_scanu, cumsum_vec_only, mcscan, scanc, scanc_kind, scanu, scanul1, McScanConfig,
+    ScanCConfig, ScanKind,
 };
 use std::sync::Arc;
 
@@ -132,6 +132,24 @@ fn scanc_multihop_window_spanning_waves_reports_identically() {
         let run = scanc::<i8, i16, i32>(spec, gm, &x, cfg).unwrap();
         assert!(run.report.blocks > spec.ai_cores);
         run.report.to_json(spec)
+    });
+}
+
+#[test]
+fn scanc_exclusive_spanning_waves_reports_identically() {
+    assert_equiv("ScanC-exclusive", |spec, gm| {
+        let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
+        // The 12-lane / 6-block multi-hop shape in exclusive mode: each
+        // lane's shifted store lands its last value on the next lane's
+        // first slot, and lane 0 stores y[0] = 0.
+        let cfg = ScanCConfig {
+            s: 16,
+            tiles_per_lane: 1,
+            lookback_window: 2,
+        };
+        let run = scanc_kind::<i8, i16, i32>(spec, gm, &x, cfg, ScanKind::Exclusive).unwrap();
+        assert!(run.report.blocks > spec.ai_cores);
+        format!("{}|{:?}", run.report.to_json(spec), run.y.to_vec())
     });
 }
 

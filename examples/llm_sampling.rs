@@ -1,5 +1,5 @@
 //! LLM token sampling: the Llama3-style top-p (nucleus) sampler built
-//! from the paper's operators — descending radix sort, MCScan cumulative
+//! from the paper's operators — descending radix sort, scan cumulative
 //! sum, threshold, inverse-transform draw. Compares against the modeled
 //! PyTorch baseline pipeline on a synthetic logit distribution.
 //!

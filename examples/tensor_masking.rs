@@ -45,7 +45,7 @@ fn main() {
         100.0 * kept_expect as f64 / n as f64
     );
 
-    // --- Compress (exclusive int8 MCScan + GatherMask scatter). -------
+    // --- Compress (exclusive int8 scan + GatherMask scatter). ---------
     let run = dev.compress(&x, &m).expect("compress");
     assert_eq!(run.n_true, kept_expect);
     let sample: Vec<f32> = run

@@ -133,7 +133,7 @@ echo "==> mcheck gate: exhaustive schedule-space check of every shipped kernel"
 # dual (blocked AND non-blocking) wait coverage.
 cargo run --release -p bench --bin mcheck -- all \
   || { echo "mcheck found a schedule-space violation"; exit 1; }
-cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh \
+cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh scanc-excl \
   || { echo "mcheck: mcscan/scanc missed full sync coverage"; exit 1; }
 
 echo "==> cargo clippy -- -D warnings"

@@ -32,7 +32,11 @@ fn mcscan_is_slower_than_copy_but_same_order() {
     let dev = Device::ascend_910b4();
     let n = 8 << 20;
     let x = dev.tensor(&vec![F16::ONE; n]).unwrap();
-    let scan = dev.cumsum(&x).unwrap().report;
+    // MCScan itself: `Device::cumsum` runs ScanC at this size.
+    let cfg = McScanConfig::for_chip(dev.spec());
+    let scan = mcscan::<F16, F16, F16>(dev.spec(), dev.memory(), &x, cfg)
+        .unwrap()
+        .report;
     let x2 = dev.tensor(&vec![F16::ONE; n]).unwrap();
     let (_, copy) = baselines::clone(dev.spec(), dev.memory(), &x2).unwrap();
     let ratio = scan.time_s() / copy.time_s();

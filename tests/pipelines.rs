@@ -3,6 +3,7 @@
 
 use ascend_scan::dtypes::{RadixKey, F16};
 use ascend_scan::ops::SortOrder;
+use ascend_scan::sim::ValidationMode;
 use ascend_scan::{Device, ScanKind};
 
 fn device() -> Device {
@@ -179,4 +180,110 @@ fn exclusive_scan_is_shifted_inclusive_on_device() {
     let exc = exc.y.to_vec();
     assert_eq!(exc[0], 0);
     assert_eq!(&exc[1..], &inc[..inc.len() - 1]);
+}
+
+/// Sizes on both sides of each fp16 dispatch crossover of the 910B4
+/// (in 16K-element tiles: ScanC up to 7, MCScan 8–40, ScanC 41–163,
+/// MCScan 164–200, ScanC from 201).
+const CROSSOVER_TILES: [usize; 8] = [7, 8, 40, 41, 163, 164, 200, 201];
+
+/// Positive fp16 weights with a total near 4.
+fn synth_probs(n: usize, seed: u64) -> Vec<F16> {
+    synth_f16(n, seed)
+        .iter()
+        .map(|v| F16::from_f64((v.to_f64().abs() + 1.0) * 0.04 / n as f64))
+        .collect()
+}
+
+/// First index with `cdf[i] > theta · cdf[last]`, or the last index:
+/// the inverse-transform rule both sampling operators apply.
+fn inverse_transform(cdf: &[F16], theta: f64) -> usize {
+    let threshold = F16::from_f64(theta * cdf[cdf.len() - 1].to_f64());
+    cdf.iter()
+        .position(|&c| c > threshold)
+        .unwrap_or(cdf.len() - 1)
+}
+
+/// A 910B4 with validation off (the draws do not depend on it).
+fn fast_device() -> Device {
+    Device::with_spec(ascend_scan::ChipSpec::ascend_910b4().with_validation(ValidationMode::Off))
+}
+
+/// The fp16 kernel the scan entry point runs at `n` elements.
+fn fp16_kernel(n: usize) -> &'static str {
+    ascend_scan::scan::dispatch::plan::<F16, F16, F16>(
+        &ascend_scan::ChipSpec::ascend_910b4(),
+        n,
+        ScanKind::Inclusive,
+    )
+    .kernel()
+}
+
+#[test]
+fn crossover_sizes_straddle_the_dispatch() {
+    for pair in CROSSOVER_TILES.chunks(2) {
+        let (a, b) = (pair[0] << 14, pair[1] << 14);
+        assert_ne!(fp16_kernel(a), fp16_kernel(b), "{a} vs {b} elements");
+    }
+}
+
+#[test]
+fn weighted_sample_draws_from_the_cumsum_cdf() {
+    // The operator scans through the same entry point as
+    // `Device::cumsum`, so its draw is the inverse transform of the CDF
+    // `cumsum` returns, bit for bit, whichever kernel ran.
+    for (k, &tiles) in CROSSOVER_TILES.iter().enumerate() {
+        let n = tiles << 14;
+        let w = synth_probs(n, k as u64 + 1);
+        let dev = fast_device();
+        let x = dev.tensor(&w).unwrap();
+        let cdf = dev.cumsum(&x).unwrap().y.to_vec();
+        let theta = [0.13, 0.5, 0.87][k % 3];
+        let run = dev.weighted_sample(&x, theta).unwrap();
+        assert_eq!(
+            run.index,
+            inverse_transform(&cdf, theta),
+            "n={n} ({}), theta {theta}",
+            fp16_kernel(n)
+        );
+    }
+}
+
+#[test]
+fn top_p_draws_from_the_cumsum_cdf() {
+    // Top-p keeps the sorted prefix whose exclusive mass stays within
+    // p of the CDF's total, then draws from it by inverse transform;
+    // recomputed here from `Device::cumsum` over the host-sorted
+    // probabilities. The sort's cost limits this to the first two
+    // crossovers.
+    let p = 0.9;
+    for (k, &tiles) in CROSSOVER_TILES[..4].iter().enumerate() {
+        let n = tiles << 14;
+        let probs = synth_probs(n, k as u64 + 11);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(probs[i as usize].encode()));
+        let sorted: Vec<F16> = order.iter().map(|&i| probs[i as usize]).collect();
+        let dev = fast_device();
+        let cdf = dev
+            .cumsum(&dev.tensor(&sorted).unwrap())
+            .unwrap()
+            .y
+            .to_vec();
+        let p_abs = F16::from_f64(p * cdf[n - 1].to_f64());
+        let kept = cdf
+            .iter()
+            .zip(&sorted)
+            .filter(|&(&c, &q)| c - q <= p_abs)
+            .count()
+            .max(1);
+        let theta = 0.61;
+        let run = dev.top_p(&dev.tensor(&probs).unwrap(), p, theta).unwrap();
+        assert_eq!(run.n_kept, kept, "n={n} ({})", fp16_kernel(n));
+        assert_eq!(
+            run.token,
+            order[inverse_transform(&cdf[..kept], theta)],
+            "n={n} ({})",
+            fp16_kernel(n)
+        );
+    }
 }

@@ -4,7 +4,7 @@
 
 use ascend_scan::dtypes::{RadixKey, F16};
 use ascend_scan::ops::SortOrder;
-use ascend_scan::{Device, McScanConfig, ScanKind};
+use ascend_scan::{ChipSpec, Device, McScanConfig, ScanKind};
 use proptest::prelude::*;
 
 fn scan_reference(mask: &[u8]) -> Vec<i32> {
@@ -104,6 +104,39 @@ proptest! {
         let got: Vec<u16> = sc.y.to_vec().iter().map(|v| v.encode()).collect();
         let want: Vec<u16> = expect.iter().map(|v| v.encode()).collect();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn scanc_exclusive_matches_reference_at_boundaries(
+        tiles in 0usize..=9,
+        offset in 0usize..3,
+        tiles_per_lane in 1usize..=3,
+        lookback_window in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        // n = tiles·ℓ − 1, tiles·ℓ or tiles·ℓ + 1 with ℓ = 16² on the
+        // tiny chip (4 lanes per wave): n ∈ {0, 1} at tiles = 0, tile
+        // boundaries throughout, lane boundaries wherever tiles is a
+        // multiple of tiles_per_lane, and grids of up to 5 blocks that
+        // span waves.
+        let n = (tiles * 256 + offset).saturating_sub(1);
+        let mask: Vec<u8> = (0..n)
+            .map(|i| ((seed.rotate_left(i as u32 % 64) ^ i as u64) & 1) as u8)
+            .collect();
+        let dev = Device::with_spec(ChipSpec::tiny());
+        let m = dev.tensor(&mask).unwrap();
+        let sc = ascend_scan::scan::scanc_kind::<u8, i16, i32>(
+            dev.spec(),
+            dev.memory(),
+            &m,
+            ascend_scan::ScanCConfig { s: 16, tiles_per_lane, lookback_window },
+            ScanKind::Exclusive,
+        ).unwrap();
+        prop_assert_eq!(
+            sc.y.to_vec(),
+            ascend_scan::scan::reference::exclusive_widening::<u8, i32>(&mask)
+        );
+        prop_assert_eq!(sc.report.sync_rounds, 0);
     }
 
     #[test]
