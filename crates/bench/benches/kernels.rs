@@ -175,7 +175,7 @@ fn bench_fig11_sort(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            radix_sort::<F16>(&spec, &gm, &x, spec.ai_cores, SortOrder::Ascending).unwrap()
+            radix_sort::<F16>(&spec, &gm, &x, SortOrder::Ascending).unwrap()
         })
     });
     g.bench_function("sort_baseline", |b| {

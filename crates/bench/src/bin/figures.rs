@@ -652,9 +652,12 @@ fn fig10(spec: &ChipSpec, quick: bool) {
     println!("  paper: compress reaches ~160 GB/s (20% of peak); the baseline is scalar-bound and flat\n");
 }
 
-/// Fig. 11 — fp16 radix sort (MCScan splits) vs torch.sort.
+/// Fig. 11 — fp16 radix sort (one fused split launch per bit) vs
+/// torch.sort.
 fn fig11(spec: &ChipSpec, quick: bool) {
-    println!("== Figure 11: fp16 sort, execution time (ms): radix sort (s = 128) vs torch.sort ==");
+    println!(
+        "== Figure 11: fp16 sort, execution time (ms): radix sort (fused splits) vs torch.sort =="
+    );
     let sizes: Vec<usize> = if quick {
         vec![1 << 16, 1 << 19, 1 << 21]
     } else {
@@ -665,7 +668,7 @@ fn fig11(spec: &ChipSpec, quick: bool) {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-        let r = radix_sort::<F16>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
+        let r = radix_sort::<F16>(spec, &gm, &x, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
@@ -1009,12 +1012,12 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
         let vals8: Vec<i8> = vals16.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals16).unwrap();
-        let r16 = radix_sort::<F16>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
+        let r16 = radix_sort::<F16>(spec, &gm, &x, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals8).unwrap();
-        let r8 = radix_sort::<i8>(spec, &gm, &x, spec.ai_cores, SortOrder::Ascending)
+        let r8 = radix_sort::<i8>(spec, &gm, &x, SortOrder::Ascending)
             .unwrap()
             .report;
         vec![

@@ -6,9 +6,9 @@
 //!        [--max-replays N] [kernel...|all]
 //! ```
 //!
-//! For every selected kernel (default: all eight, including the chained
-//! and decoupled multi-hop ScanC look-backs and ScanC's exclusive
-//! mode), `mcheck`
+//! For every selected kernel (default: all nine, including the chained
+//! and decoupled multi-hop ScanC look-backs, ScanC's exclusive mode and
+//! the fused radix-sort split pass), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -36,6 +36,7 @@ use ascend_sim::trace::json_escape;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
+use ops::radix_sort::{radix_sort_bits, SortOrder};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanc_kind, scanu, scanul1, McScanConfig,
     ScanCConfig, ScanKind,
@@ -49,6 +50,7 @@ const KERNELS: &[&str] = &[
     "scanc",
     "scanc-mh",
     "scanc-excl",
+    "radix-split",
     "cumsum",
     "batched",
 ];
@@ -234,6 +236,20 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             };
             let run = scanc_kind::<i8, i16, i32>(&spec, &gm, &x, cfg, ScanKind::Exclusive)
                 .expect("scanc launches");
+            run.report.to_json(&spec)
+        }
+        "radix-split" => {
+            // One fused radix-sort pass on the chained look-back (w=2):
+            // 4200 u16 keys → 17 pieces of 256 → 5 lanes of up to 4
+            // pieces → 3 blocks on 2 AI cores, wave-spanning like
+            // `scanc-mh`. Sorting by one bit makes the pass both the
+            // first (indices created) and the last (keys decoded); the
+            // encode launch before it has no grid operations, so the
+            // planned replay covers the pass.
+            let keys: Vec<u16> = (0..4200).map(|i| ((i * 7919) % 65_521) as u16).collect();
+            let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
+            let run = radix_sort_bits(&spec, &gm, &x, SortOrder::Ascending, 1)
+                .expect("radix split launches");
             run.report.to_json(&spec)
         }
         "cumsum" => {

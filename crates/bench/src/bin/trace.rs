@@ -2,7 +2,8 @@
 //! kernels' simulated schedules.
 //!
 //! ```text
-//! trace [scanu|scanul1|mcscan|scanc|cumsum|batched|all] [N] [out.json] [--jobs N] [--dir DIR]
+//! trace [scanu|scanul1|mcscan|scanc|cumsum|batched|radix-encode|radix-split|all] [N] [out.json]
+//!       [--jobs N] [--dir DIR]
 //! ```
 //!
 //! The kernels run through their normal public entry points with a
@@ -15,7 +16,9 @@
 //! counters. Open
 //! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
-//! Fig. 6 are directly visible.
+//! Fig. 6 are directly visible. `radix-encode` and `radix-split` are
+//! the two launches of the fused radix sort (the encode pre-pass and one
+//! split pass), traced one launch per kernel.
 //!
 //! Because every kernel owns its whole launch state, independent
 //! kernels trace concurrently on `--jobs N` worker threads (default:
@@ -30,11 +33,21 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
+use ops::radix_sort::{radix_sort_bits, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::{batched_scanu, cumsum_vec_only, scanu, scanul1};
 
-const KERNELS: &[&str] = &["scanu", "scanul1", "mcscan", "scanc", "cumsum", "batched"];
+const KERNELS: &[&str] = &[
+    "scanu",
+    "scanul1",
+    "mcscan",
+    "scanc",
+    "cumsum",
+    "batched",
+    "radix-encode",
+    "radix-split",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -191,6 +204,23 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             drop(batched_scanu::<F16, F16>(spec, &gm, &x, batch, len, 128).unwrap());
             return recorder.take();
+        }
+        "radix-encode" | "radix-split" => {
+            // A one-bit sort is the encode launch plus one split pass;
+            // keep only the requested launch, since the analyzers treat
+            // a trace as one launch.
+            let gm = fresh_gm(spec);
+            let recorder = gm.attach_profiler();
+            let keys: Vec<F16> = (0..n).map(|i| F16::from_f32((i % 977) as f32)).collect();
+            let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
+            drop(radix_sort_bits::<F16>(spec, &gm, &x, SortOrder::Ascending, 1).unwrap());
+            let name = match kernel {
+                "radix-encode" => "RadixEncode",
+                _ => "RadixSplit",
+            };
+            let mut profile = recorder.take();
+            profile.kernels.retain(|k| k.name == name);
+            return profile;
         }
         other => unreachable!("unvalidated kernel {other}"),
     }

@@ -147,7 +147,7 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::radix_sort(&self.spec, &self.gm, x, self.spec.ai_cores, order)
+        ops::radix_sort(&self.spec, &self.gm, x, order)
     }
 
     /// Top-k selection (unsorted top set + indices).

@@ -8,9 +8,12 @@
 //! and draws — exactly the pipeline built here from the paper's
 //! operators:
 //!
-//! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16);
+//! 1. descending [`radix_sort`] of the probabilities (16 split passes
+//!    for fp16, the paper's 16 scans, each one fused `RadixSplit`
+//!    launch);
 //! 2. inclusive [`scan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count);
+//!    17 scans per batch total, the paper's count; 1 + 16 + 1 + 2 = 20
+//!    launches with the encode and the two kernels below);
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).
@@ -41,8 +44,8 @@ pub struct TopPRun {
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
 /// `probs` need not be normalized (the draw is proportional). `blocks`
-/// configures the sort's and the search's vector launches; the scans
-/// size themselves ([`scan::scan`]).
+/// configures the threshold and search launches; the sort and the scan
+/// size themselves ([`radix_sort`], [`scan::scan`]).
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -69,7 +72,7 @@ pub fn top_p_sample(
     }
 
     // 1. Sort descending (values + original token ids).
-    let sorted = radix_sort::<F16>(spec, gm, probs, blocks, SortOrder::Descending)?;
+    let sorted = radix_sort::<F16>(spec, gm, probs, SortOrder::Descending)?;
 
     // 2. Cumulative sum of the sorted probabilities.
     let scan_run = scan::<F16, F16, F16>(spec, gm, &sorted.values, ScanKind::Inclusive)?;
@@ -272,20 +275,34 @@ mod tests {
         assert_eq!(run.token, 20);
     }
 
+    /// The kernel names of every launch the closure makes.
+    fn launch_names<R>(gm: &GlobalMemory, f: impl FnOnce() -> R) -> (R, Vec<String>) {
+        let (r, profile) = ascend_sim::prof::with_profiling(gm, f);
+        (r, profile.kernels.into_iter().map(|k| k.name).collect())
+    }
+
+    /// How many of `names` are scans: the sort's fused split passes
+    /// plus the CDF's scan launch.
+    fn scans(names: &[String]) -> usize {
+        names
+            .iter()
+            .filter(|n| ["RadixSplit", "ScanC", "MCScan"].contains(&n.as_str()))
+            .count()
+    }
+
     #[test]
     fn scan_count_matches_paper() {
-        // 16 radix-sort scans + 1 cumsum scan = 17 SyncAll rounds from
-        // MCScan launches.
+        // 16 radix-sort splits + 1 cumsum scan: the paper's 17 scans.
         let (spec, gm) = setup();
         let probs: Vec<F16> = (0..128)
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 1).unwrap();
-        assert_eq!(
-            run.report.sync_rounds, 17,
-            "the paper's 17-scans-per-batch count"
-        );
+        let (_, names) = launch_names(&gm, || top_p_sample(&spec, &gm, &t, 0.9, 0.5, 1).unwrap());
+        let splits = names.iter().filter(|n| *n == "RadixSplit").count();
+        assert_eq!(splits, 16, "{names:?}");
+        assert_eq!(scans(&names), 17, "the paper's 17-scans-per-batch count");
+        assert_eq!(names.len(), 20, "{names:?}");
     }
 
     #[test]
@@ -298,11 +315,12 @@ mod tests {
         probs[vocab + 31] = F16::ONE;
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let (tokens, report) =
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 2).unwrap();
+        let ((tokens, _), names) = launch_names(&gm, || {
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 2).unwrap()
+        });
         assert_eq!(tokens, vec![7, 31, 99]);
         // 17 scans per batch element (the paper's accounting).
-        assert_eq!(report.sync_rounds, 17 * batch as u64);
+        assert_eq!(scans(&names), 17 * batch);
         // Shape errors are rejected.
         assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 2).is_err());
         assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 2).is_err());

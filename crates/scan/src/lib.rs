@@ -43,6 +43,7 @@ pub mod ablation;
 pub mod baseline;
 pub mod batched;
 pub mod dispatch;
+pub mod lookback;
 pub mod mcscan;
 pub mod reduce;
 pub mod reference;

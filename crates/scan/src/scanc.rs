@@ -10,35 +10,13 @@
 //! by-product of the in-lane propagation, and then **looks back** at
 //! per-lane mailboxes in global memory.
 //!
-//! The look-back is a *decoupled, multi-hop state machine*. Each lane
-//! `L` owns two mailbox slots: a **partial** slot (its local aggregate,
-//! published as soon as the tile loop finishes) and an **inclusive**
-//! slot (the prefix of everything through `L`, published once its own
-//! look-back resolves). A successor with window `w` consumes
-//!
-//! * one **inclusive** edge from lane `base = max(L − w, 0)`, and
-//! * **partial** edges from lanes `base+1 .. L−1`,
-//!
-//! accumulating `incl[base] + p[base+1] + … + p[L−1]` in ascending
-//! order — the same left-associated grouping the `w = 1` chained
-//! protocol produces, so results stay bit-identical across window
-//! sizes. Each edge is guarded by its own grid-flag id (edges are
-//! enumerated in canonical order — consumer ascending, inclusive
-//! before partials — and ids cycle modulo the chip's flag-id limit;
-//! `w² ≤ flag_id_limit` keeps the per-id FIFO pairings unambiguous).
-//!
-//! Crucially the predecessor wait is **overlapped with local work**:
-//! the lane issues non-blocking [`probe_grid_flag`] consumes *before*
-//! its tile loop, runs the tile loop while the predecessors' sets
-//! propagate, and only then schedules the mailbox `copy_in`s against
-//! the probes' arrival edges. The chain's wire latency
-//! (`flag_wait_cycles` per hop) is paid at most `⌈nlanes / w⌉` times on
-//! the critical path instead of `nlanes` times, and is hidden entirely
-//! wherever the tile loop runs longer than the hop.
-//!
-//! Because the cooperative scheduler releases blocks in ascending index
-//! order (wave-multiplexing grids larger than the chip), the look-back
-//! is always *backward* and never deadlocks, even oversubscribed.
+//! The look-back is the decoupled, multi-hop state machine of
+//! [`crate::lookback`]: each lane publishes a *partial* aggregate as
+//! soon as its tile loop finishes and an *inclusive* prefix once its own
+//! look-back resolves, and a successor with window `w` folds one
+//! inclusive and up to `w − 1` partial mailboxes. The lane probes its
+//! predecessors' grid flags *before* its tile loop, so the chain's wire
+//! latency is hidden wherever the tile loop runs longer than a hop.
 //!
 //! The exclusive scan ([`scanc_kind`]) is the same launch with each
 //! lane's output stores shifted right by one element.
@@ -47,9 +25,8 @@
 //! intermediate written once and read once, the output written once —
 //! `8` bytes/element for fp16 (vs. MCScan's `10`) and `9` for int8
 //! masks (vs. `10`), plus a few dozen scalar mailbox round-trips.
-//!
-//! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
+use crate::lookback::{max_window, Lookback};
 use crate::triangular::ScanConstants;
 use crate::util::{check_tile_dim, tile_spans};
 use crate::{finish_report, ScanKind, ScanRun};
@@ -110,77 +87,12 @@ impl ScanCConfig {
     pub(crate) fn ub_filling<M: Element, O: Element>(spec: &ChipSpec, s: usize) -> Self {
         let l = s * s;
         let budget = spec.ub_capacity.saturating_sub(l * M::SIZE + 256);
-        let mut w = 4usize;
-        while w > 1 && w * w > spec.flag_id_limit as usize {
-            w -= 1;
-        }
         ScanCConfig {
             s,
             tiles_per_lane: (budget / (l * O::SIZE)).max(1),
-            lookback_window: w,
+            lookback_window: max_window(spec),
         }
     }
-}
-
-/// One look-back edge a lane consumes: the producer lane, whether it is
-/// the inclusive (vs. partial) mailbox slot, and the grid-flag id
-/// guarding it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ConsumeEdge {
-    producer: usize,
-    inclusive: bool,
-    id: u32,
-}
-
-/// The static per-lane look-back schedule for `nlanes` lanes with
-/// window `w`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct LaneEdges {
-    /// Edges this lane consumes, inclusive edge first, then partial
-    /// edges by ascending producer — the accumulation order.
-    consume: Vec<ConsumeEdge>,
-    /// Grid-flag ids this lane sets after publishing its *partial*
-    /// aggregate (one per consumer, consumers ascending).
-    publish_partial: Vec<u32>,
-    /// Grid-flag ids this lane sets after publishing its *inclusive*
-    /// prefix (one per consumer, consumers ascending).
-    publish_inclusive: Vec<u32>,
-}
-
-/// Enumerates every look-back edge in canonical order (consumer lane
-/// ascending; within a consumer: the inclusive edge first, then partial
-/// edges by ascending producer) and assigns grid-flag ids cyclically.
-/// Both sides of the protocol derive from this one schedule, so a
-/// producer's k-th set on an id always pairs with the intended
-/// consumer's k-th consume.
-fn lookback_edges(nlanes: usize, w: usize, flag_ids: u32) -> Vec<LaneEdges> {
-    let mut lanes: Vec<LaneEdges> = vec![LaneEdges::default(); nlanes];
-    let mut next = 0u32;
-    let mut take = || {
-        let id = next % flag_ids;
-        next += 1;
-        id
-    };
-    for m in 1..nlanes {
-        let base = m.saturating_sub(w);
-        let id = take();
-        lanes[m].consume.push(ConsumeEdge {
-            producer: base,
-            inclusive: true,
-            id,
-        });
-        lanes[base].publish_inclusive.push(id);
-        for j in base + 1..m {
-            let id = take();
-            lanes[m].consume.push(ConsumeEdge {
-                producer: j,
-                inclusive: false,
-                id,
-            });
-            lanes[j].publish_partial.push(id);
-        }
-    }
-    lanes
 }
 
 /// Runs ScanC over `x`, producing the inclusive scan in element type
@@ -265,19 +177,13 @@ where
     // below `nlanes` is non-empty, so the look-back chain has no holes.
     let nlanes = tiles.len().div_ceil(tpl).max(1);
     let blocks = nlanes.div_ceil(vpc).max(1) as u32;
-    // Two mailbox slots per lane: lane L's partial (local) aggregate at
-    // index L, its inclusive prefix at index nlanes + L. Separate
-    // addresses keep the two publishes free of write-after-write
-    // hazards and let a consumer read exactly the state it needs.
-    let mailbox = GlobalTensor::<O>::new(gm, 2 * nlanes)?;
     // Cross-core flag registers are partitioned per vector core so the
     // per-id FIFOs never pair a cube set for lane A with a wait from
-    // lane B; grid-flag ids are assigned per look-back edge by
-    // `lookback_edges` (canonical enumeration, cycled modulo the id
-    // limit).
+    // lane B; grid-flag ids are assigned per look-back edge by the
+    // shared look-back schedule.
     let flag_ids = spec.flag_id_limit;
     let per_vec_ids = (flag_ids / spec.vec_per_core).max(1);
-    let edges = lookback_edges(nlanes, wdw, flag_ids);
+    let lookback = Lookback::<O>::new(gm, nlanes, wdw, flag_ids)?;
 
     let mut report = launch(spec, gm, blocks, "ScanC", |ctx| {
         let block = ctx.block_idx as usize;
@@ -354,7 +260,6 @@ where
                 continue;
             }
             let tcount = tpl.min(tiles.len() - t0);
-            let lane_edges = &edges[lane];
             let flags = &ctx.flags;
             let vc = &mut ctx.vecs[v];
             if kind == ScanKind::Exclusive && lane == 0 {
@@ -366,34 +271,8 @@ where
                 vc.free_local(zero)?;
             }
 
-            // Probe every look-back edge *before* the tile loop: the
-            // poll is priced now (one flag slot each), the predecessor
-            // sets propagate while the lane does its local work, and
-            // the arrival edges are threaded into the mailbox copy-ins
-            // after the loop.
-            let mut arrivals = Vec::with_capacity(lane_edges.consume.len());
-            if !lane_edges.consume.is_empty() {
-                let probe = vc.span_begin("lookback:probe");
-                for e in &lane_edges.consume {
-                    let hop = vc.span_begin("lookback:hop");
-                    let at = vc.probe_grid_flag(grid, e.id)?;
-                    vc.span_args(
-                        hop,
-                        SpanArgs {
-                            bytes: O::SIZE as u64,
-                            kind: if e.inclusive {
-                                "probe-incl"
-                            } else {
-                                "probe-part"
-                            },
-                            queue_depth: (lane - e.producer) as u32,
-                        },
-                    );
-                    vc.span_end(hop);
-                    arrivals.push(at);
-                }
-                vc.span_end(probe);
-            }
+            // Probe every look-back edge *before* the tile loop.
+            let mut lane_lb = lookback.probe(vc, grid, lane)?;
 
             // Load every tile of the lane into a resident UB buffer,
             // propagating the running partial through it on the way in;
@@ -428,70 +307,9 @@ where
                 bufs.push(buf);
             }
 
-            // Publish the *partial* aggregate the moment the tile loop
-            // produces it — successors within the window can fold it
-            // into their prefixes without waiting for this lane's own
-            // look-back to resolve.
-            let mut mb_p = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            if !lane_edges.publish_partial.is_empty() {
-                let publish = vc.span_begin("lookback:publish-partial");
-                vc.insert(&mut mb_p, 0, partial, partial_ready)?;
-                let stored = vc.copy_out(&mailbox, lane, &mb_p, 0, 1, &[])?;
-                for &id in &lane_edges.publish_partial {
-                    vc.set_grid_flag(grid, id, &[stored])?;
-                }
-                vc.span_end_at(publish, stored);
-            }
-
-            // Resolve the look-back: copy the probed mailbox slots in
-            // (each gated on its arrival edge, long since in flight)
-            // and fold them in ascending producer order. Slot 0 holds
-            // the inclusive prefix through `base`; each partial is
-            // added with the same element+scalar `vadds` the chained
-            // protocol uses, so the grouping — and hence every rounded
-            // fp16 bit — matches `w = 1`.
-            let lookback = vc.span_begin("lookback");
-            let nhops = lane_edges.consume.len();
-            let (prev, prev_ready) = if nhops > 0 {
-                let mut hop = vc.alloc_local::<O>(ScratchpadKind::Ub, nhops)?;
-                for (k, e) in lane_edges.consume.iter().enumerate() {
-                    let slot = if e.inclusive {
-                        nlanes + e.producer
-                    } else {
-                        e.producer
-                    };
-                    vc.copy_in(&mut hop, k, &mailbox, slot, 1, &[arrivals[k]])?;
-                }
-                for k in 1..nhops {
-                    let (pk, pk_ready) = vc.extract(&hop, k)?;
-                    vc.vadds(&mut hop, 0, 1, pk, pk_ready)?;
-                }
-                let out = vc.extract(&hop, 0)?;
-                vc.free_local(hop)?;
-                out
-            } else {
-                (O::zero(), 0)
-            };
-
-            // Publish as early as possible, and on the shortest possible
-            // path: the inclusive prefix is `partial ⊕ prev`, computed
-            // directly on the 1-element mailbox buffer with the same
-            // element+scalar `vadds` the offset pass applies to every
-            // tile — bit-identical to extracting it from the offset
-            // output, but without a whole-tile vector op on the chain
-            // link a successor is polling.
-            let mut mb_i = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            if !lane_edges.publish_inclusive.is_empty() {
-                vc.insert(&mut mb_i, 0, partial, partial_ready)?;
-                vc.vadds(&mut mb_i, 0, 1, prev, prev_ready)?;
-                let stored = vc.copy_out(&mailbox, nlanes + lane, &mb_i, 0, 1, &[])?;
-                for &id in &lane_edges.publish_inclusive {
-                    vc.set_grid_flag(grid, id, &[stored])?;
-                }
-                vc.span_end_at(lookback, stored);
-            } else {
-                vc.span_end_at(lookback, prev_ready);
-            }
+            lookback.publish_partial(vc, grid, &mut lane_lb, partial, partial_ready)?;
+            let (prev, prev_ready) =
+                lookback.resolve(vc, grid, &mut lane_lb, partial, partial_ready)?;
 
             // Finish the lane: offset the tiles and store y (shifted
             // one element right for an exclusive scan).
@@ -509,8 +327,7 @@ where
             for buf in bufs {
                 vc.free_local(buf)?;
             }
-            vc.free_local(mb_i)?;
-            vc.free_local(mb_p)?;
+            lane_lb.free(vc)?;
             vc.free_local(staging)?;
         }
         ctx.span_end(phase);
@@ -540,50 +357,6 @@ mod tests {
             tiles_per_lane,
             lookback_window: 2,
         }
-    }
-
-    #[test]
-    fn edge_schedule_window_one_is_the_chained_protocol() {
-        let lanes = lookback_edges(6, 1, 8);
-        for (m, lane) in lanes.iter().enumerate().skip(1) {
-            assert_eq!(
-                lane.consume,
-                vec![ConsumeEdge {
-                    producer: m - 1,
-                    inclusive: true,
-                    id: ((m - 1) % 8) as u32,
-                }]
-            );
-            assert!(lane.publish_partial.is_empty());
-        }
-        assert_eq!(lanes[5].publish_inclusive, Vec::<u32>::new());
-    }
-
-    #[test]
-    fn edge_schedule_counts_and_pairing() {
-        // 5 lanes, w = 2: consumer m consumes min(m, 2) edges; 7 edges
-        // total fit the tiny chip's 8 ids without reuse.
-        let lanes = lookback_edges(5, 2, 8);
-        let total: usize = lanes.iter().map(|l| l.consume.len()).sum();
-        assert_eq!(total, 1 + 2 + 2 + 2);
-        // Every consumed id is published by exactly the matching lane.
-        for (m, le) in lanes.iter().enumerate() {
-            for e in &le.consume {
-                let p = &lanes[e.producer];
-                let published = if e.inclusive {
-                    &p.publish_inclusive
-                } else {
-                    &p.publish_partial
-                };
-                assert!(published.contains(&e.id), "lane {m} edge {e:?}");
-            }
-        }
-        // Lane 0 publishes inclusive only; the last lane publishes
-        // nothing.
-        assert!(lanes[0].publish_partial.is_empty());
-        assert_eq!(lanes[0].publish_inclusive.len(), 2);
-        assert!(lanes[4].publish_partial.is_empty());
-        assert!(lanes[4].publish_inclusive.is_empty());
     }
 
     #[test]

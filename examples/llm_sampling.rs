@@ -46,11 +46,19 @@ fn main() {
     }
 
     // The paper's accounting: one fp16 top-p = 16 radix-sort scans plus
-    // one cumulative-sum scan.
-    let run = dev.top_p(&x, 0.9, 0.5).expect("top-p sample");
+    // one cumulative-sum scan. Each sort scan is a fused split launch.
+    let (run, profile) = ascend_scan::sim::prof::with_profiling(dev.memory(), || {
+        dev.top_p(&x, 0.9, 0.5).expect("top-p sample")
+    });
+    let scans = profile
+        .kernels
+        .iter()
+        .filter(|k| ["RadixSplit", "ScanC", "MCScan"].contains(&k.name.as_str()))
+        .count();
     println!(
-        "\nscan invocations per sample (SyncAll rounds): {} — the paper's '17 scans per batch'",
-        run.report.sync_rounds
+        "\nscans per sample: {scans} ({} launches, {:.2} ms) — the paper's '17 scans per batch'",
+        profile.kernels.len(),
+        run.report.time_ms()
     );
 
     // Compare with the modeled PyTorch pipeline (torch.sort +

@@ -1,6 +1,6 @@
-//! Sorting with matrix multiplications: the paper's fp16 radix sort
-//! whose parallel splits run as cube-unit scans, compared against the
-//! modeled `torch.sort` baseline (Fig. 11), including `argsort` output.
+//! The paper's fp16 radix sort — 16 stable splits, each one fused
+//! launch on the chained look-back scan — compared against the modeled
+//! `torch.sort` baseline (Fig. 11), including `argsort` output.
 //!
 //! ```text
 //! cargo run --release --example sorting
@@ -32,7 +32,7 @@ fn main() {
         .collect();
     let x = dev.tensor(&values).expect("upload");
 
-    println!("sorting {n} fp16 values (16 split passes, one per bit)\n");
+    println!("sorting {n} fp16 values (16 split passes, one launch per bit)\n");
 
     let run = dev.sort(&x, SortOrder::Ascending).expect("radix sort");
     let sorted = run.values.read_range(0, 5).unwrap();

@@ -105,10 +105,10 @@ lintdir=$(mktemp -d)
 trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
-# byte-identical to what six serial single-kernel runs would write.
+# byte-identical to what eight serial single-kernel runs would write.
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
 lint_traces=()
-for k in scanu scanul1 mcscan scanc cumsum batched; do
+for k in scanu scanul1 mcscan scanc cumsum batched radix-encode radix-split; do
   test -s "$lintdir/$k.json" || { echo "trace --dir did not write $k.json"; exit 1; }
   lint_traces+=("$lintdir/$k.json")
 done
@@ -129,12 +129,12 @@ echo "==> mcheck gate: exhaustive schedule-space check of every shipped kernel"
 # sync-visible operations on the tiny chip, proving deadlock-freedom,
 # hb-cleanliness, and byte-identical reports across all commit orders.
 # It prints explored/pruned state counts and exits 1 on any finding or
-# budget exceedance. ScanC and MCScan must additionally reach 100%
-# dual (blocked AND non-blocking) wait coverage.
+# budget exceedance. ScanC, MCScan and the fused radix-sort pass must
+# additionally reach 100% dual (blocked AND non-blocking) wait coverage.
 cargo run --release -p bench --bin mcheck -- all \
   || { echo "mcheck found a schedule-space violation"; exit 1; }
-cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh scanc-excl \
-  || { echo "mcheck: mcscan/scanc missed full sync coverage"; exit 1; }
+cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh scanc-excl radix-split \
+  || { echo "mcheck: mcscan/scanc/radix-split missed full sync coverage"; exit 1; }
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -2,7 +2,8 @@
 //! device path, checked against host references. Sizes stay moderate so
 //! the functional simulation remains fast in debug builds.
 
-use ascend_scan::dtypes::{RadixKey, F16};
+use ascend_scan::ascendc::Bits;
+use ascend_scan::dtypes::{Element, Numeric, RadixKey, F16};
 use ascend_scan::ops::SortOrder;
 use ascend_scan::{ChipSpec, Device, McScanConfig, ScanKind};
 use proptest::prelude::*;
@@ -17,8 +18,70 @@ fn scan_reference(mask: &[u8]) -> Vec<i32> {
         .collect()
 }
 
+/// Sorts `data` on a fresh tiny-chip device and checks values and
+/// indices against a host stable sort of the encoded keys.
+fn check_fused_sort<K>(data: &[K], order: SortOrder) -> Result<(), TestCaseError>
+where
+    K: RadixKey + Element,
+    K::Encoded: Element + Bits + Numeric,
+{
+    let dev = Device::with_spec(ChipSpec::tiny());
+    let run = dev.sort(&dev.tensor(data).unwrap(), order).unwrap();
+    let key = |i: &u32| -> u64 { data[*i as usize].encode().into() };
+    let mut expect: Vec<u32> = (0..data.len() as u32).collect();
+    match order {
+        SortOrder::Ascending => expect.sort_by_key(key),
+        SortOrder::Descending => expect.sort_by_key(|i| std::cmp::Reverse(key(i))),
+    }
+    let got = run.indices.to_vec();
+    prop_assert_eq!(&got, &expect);
+    let bits = |v: &[K]| -> Vec<u64> { v.iter().map(|k| k.encode().into()).collect() };
+    let want: Vec<K> = expect.iter().map(|&i| data[i as usize]).collect();
+    prop_assert_eq!(bits(&run.values.to_vec()), bits(&want));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn fused_radix_sort_matches_host_stable_sort(
+        pieces in 0usize..=20,
+        offset in 0usize..3,
+        dtype in 0usize..5,
+        descending in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // n = pieces·256 − 1, pieces·256 or pieces·256 + 1, with 256-key
+        // pieces on the tiny chip: n ∈ {0, 1} at pieces = 0, piece
+        // boundaries throughout, lane boundaries wherever the lane
+        // length divides `pieces`, and from 17 pieces up, passes whose
+        // 5 lanes span two waves of the chip's 4 vector cores. Keys are
+        // drawn from a narrow range so stability is exercised, and fp16
+        // keys include NaNs of both signs, ±0 and ±∞.
+        let n = (pieces * 256 + offset).saturating_sub(1);
+        let order = if descending { SortOrder::Descending } else { SortOrder::Ascending };
+        let word = |i: usize| {
+            let x = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 40
+        };
+        let specials = [0x7E00u16, 0xFE00, 0x0000, 0x8000, 0x7C00, 0xFC00, 0x7C01];
+        match dtype {
+            0 => check_fused_sort((0..n).map(|i| (word(i) % 7) as u8 * 37).collect::<Vec<u8>>().as_slice(), order)?,
+            1 => check_fused_sort((0..n).map(|i| ((word(i) % 9) as i32 * 29 - 116) as i8).collect::<Vec<i8>>().as_slice(), order)?,
+            2 => check_fused_sort((0..n).map(|i| (word(i) % 600) as u16 * 109).collect::<Vec<u16>>().as_slice(), order)?,
+            3 => check_fused_sort((0..n).map(|i| ((word(i) % 600) as i32 * 109 - 32_700) as i16).collect::<Vec<i16>>().as_slice(), order)?,
+            _ => {
+                let data: Vec<F16> = (0..n)
+                    .map(|i| match word(i) % 8 {
+                        0 => F16::from_bits(specials[(word(i) >> 8) as usize % specials.len()]),
+                        w => F16::from_f32((w as f32 - 4.0) * ((word(i) >> 12) % 50) as f32 / 8.0),
+                    })
+                    .collect();
+                check_fused_sort(&data, order)?
+            }
+        }
+    }
 
     #[test]
     fn mcscan_mask_matches_reference(
