@@ -143,6 +143,32 @@ impl Core<'_> {
         Ok(done)
     }
 
+    /// `Add` between two rows of one tensor: `t[dst_off..dst_off+len] +=
+    /// t[src_off..src_off+len]` (AscendC sub-tensor operands of one
+    /// buffer). The rows must not overlap.
+    pub fn vadd_rows<T: Numeric>(
+        &mut self,
+        t: &mut LocalTensor<T>,
+        dst_off: usize,
+        src_off: usize,
+        len: usize,
+    ) -> SimResult<EventTime> {
+        self.check_vec("Add", t)?;
+        t.check_range("Add dst", dst_off, len)?;
+        t.check_range("Add src", src_off, len)?;
+        if dst_off < src_off + len && src_off < dst_off + len {
+            return Err(SimError::InvalidArgument(format!(
+                "Add: rows at {dst_off} and {src_off} of length {len} overlap"
+            )));
+        }
+        for i in 0..len {
+            t.data[dst_off + i] = t.data[dst_off + i].add(t.data[src_off + i]);
+        }
+        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
+        t.ready = done;
+        Ok(done)
+    }
+
     /// `Sub`: element-wise `dst[d..] -= src[s..]`.
     pub fn vsub_inplace<T: Numeric>(
         &mut self,
@@ -314,6 +340,21 @@ impl Core<'_> {
         off: usize,
         len: usize,
     ) -> SimResult<(usize, EventTime)> {
+        self.gather_mask_at(dst, 0, src, mask, off, len)
+    }
+
+    /// [`Core::gather_mask`] into `dst[dst_off..]` — AscendC's `dst[off]`
+    /// sub-tensor destination, which packs several gathers into one
+    /// buffer back to back.
+    pub fn gather_mask_at<T: Element>(
+        &mut self,
+        dst: &mut LocalTensor<T>,
+        dst_off: usize,
+        src: &LocalTensor<T>,
+        mask: &LocalTensor<u8>,
+        off: usize,
+        len: usize,
+    ) -> SimResult<(usize, EventTime)> {
         self.check_vec("GatherMask", dst)?;
         self.check_vec("GatherMask", src)?;
         self.check_vec("GatherMask", mask)?;
@@ -322,8 +363,8 @@ impl Core<'_> {
         let mut count = 0;
         for i in 0..len {
             if mask.data[off + i] != 0 {
-                dst.check_range("GatherMask dst", count, 1)?;
-                dst.data[count] = src.data[off + i];
+                dst.check_range("GatherMask dst", dst_off + count, 1)?;
+                dst.data[dst_off + count] = src.data[off + i];
                 count += 1;
             }
         }
@@ -665,6 +706,40 @@ mod tests {
             let (count, _) = core.gather_mask(&mut dst, &src, &mask, 0, 8).unwrap();
             assert_eq!(count, 4);
             assert_eq!(&dst.as_slice()[..4], &[10, 12, 13, 16]);
+        });
+    }
+
+    #[test]
+    fn gather_mask_at_packs_segments_back_to_back() {
+        with_vec_core(|core| {
+            let mut dst = core.alloc_local::<u16>(ScratchpadKind::Ub, 6).unwrap();
+            let mut src = core.alloc_local::<u16>(ScratchpadKind::Ub, 6).unwrap();
+            let mut mask = core.alloc_local::<u8>(ScratchpadKind::Ub, 6).unwrap();
+            src.data.copy_from_slice(&[10, 11, 12, 13, 14, 15]);
+            mask.data.copy_from_slice(&[0, 1, 0, 1, 1, 0]);
+            let (odd, _) = core.gather_mask_at(&mut dst, 0, &src, &mask, 0, 6).unwrap();
+            for m in mask.data.iter_mut() {
+                *m ^= 1;
+            }
+            let (even, _) = core
+                .gather_mask_at(&mut dst, odd, &src, &mask, 0, 6)
+                .unwrap();
+            assert_eq!((odd, even), (3, 3));
+            assert_eq!(dst.as_slice(), &[11, 13, 14, 10, 12, 15]);
+            // A segment past the end of `dst` is out of bounds.
+            assert!(core.gather_mask_at(&mut dst, 4, &src, &mask, 0, 6).is_err());
+        });
+    }
+
+    #[test]
+    fn vadd_rows_adds_within_one_tensor() {
+        with_vec_core(|core| {
+            let mut t = core.alloc_local::<i32>(ScratchpadKind::Ub, 6).unwrap();
+            t.data.copy_from_slice(&[1, 2, 3, 10, 20, 30]);
+            core.vadd_rows(&mut t, 0, 3, 3).unwrap();
+            assert_eq!(t.as_slice(), &[11, 22, 33, 10, 20, 30]);
+            assert!(core.vadd_rows(&mut t, 0, 2, 3).is_err(), "overlapping rows");
+            assert!(core.vadd_rows(&mut t, 0, 4, 3).is_err(), "row past the end");
         });
     }
 

@@ -199,7 +199,7 @@ fn bench_fig13_topp(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, spec.ai_cores).unwrap()
+            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37).unwrap()
         })
     });
     g.bench_function("top_p_torch", |b| {

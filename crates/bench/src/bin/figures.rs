@@ -652,7 +652,7 @@ fn fig10(spec: &ChipSpec, quick: bool) {
     println!("  paper: compress reaches ~160 GB/s (20% of peak); the baseline is scalar-bound and flat\n");
 }
 
-/// Fig. 11 — fp16 radix sort (one fused split launch per bit) vs
+/// Fig. 11 — fp16 radix sort (one fused split launch per radix digit) vs
 /// torch.sort.
 fn fig11(spec: &ChipSpec, quick: bool) {
     println!(
@@ -771,9 +771,7 @@ fn fig13(spec: &ChipSpec, quick: bool) {
         let probs = synth_probs(n, 9);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, spec.ai_cores)
-            .unwrap()
-            .report;
+        let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let (_, b) = baseline_top_p(spec, &gm, &x, 0.9, 0.37).unwrap();
@@ -998,9 +996,10 @@ fn ablation(spec: &ChipSpec, quick: bool) {
 }
 
 /// The paper's future-work expectation: low-bit-width sorting gets
-/// faster because radix passes equal the key width (8 passes vs 16).
+/// faster because radix passes scale with the key width (8 key bits vs
+/// 16: half the digit passes).
 fn lowbit(spec: &ChipSpec, quick: bool) {
-    println!("== Low-precision sort: int8 (8 passes) vs fp16 (16 passes) radix sort (ms) ==");
+    println!("== Low-precision sort: int8 (8 key bits) vs fp16 (16 key bits) radix sort (ms) ==");
     let sizes = if quick {
         vec![1 << 18]
     } else {

@@ -36,7 +36,7 @@ use ascend_sim::trace::json_escape;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
-use ops::radix_sort::{radix_sort_bits, SortOrder};
+use ops::radix_sort::{digit_bits, radix_sort_bits, SortOrder};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanc_kind, scanu, scanul1, McScanConfig,
     ScanCConfig, ScanKind,
@@ -240,15 +240,19 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
         }
         "radix-split" => {
             // One fused radix-sort pass on the chained look-back (w=2):
-            // 4200 u16 keys → 17 pieces of 256 → 5 lanes of up to 4
+            // 8400 u16 keys → 33 pieces of 256 → 5 lanes of up to 8
             // pieces → 3 blocks on 2 AI cores, wave-spanning like
-            // `scanc-mh`. Sorting by one bit makes the pass both the
-            // first (indices created) and the last (keys decoded); the
-            // encode launch before it has no grid operations, so the
-            // planned replay covers the pass.
-            let keys: Vec<u16> = (0..4200).map(|i| ((i * 7919) % 65_521) as u16).collect();
+            // `scanc-mh`. Sorting by one full digit of the size rule's
+            // width makes the pass multi-way (its look-back rows carry
+            // one count per bucket but the last), the first (indices
+            // created) and the last (keys decoded); the encode launch
+            // before it has no grid operations, so the planned replay
+            // covers the pass.
+            let n = 8400;
+            let keys: Vec<u16> = (0..n).map(|i| ((i * 7919) % 65_521) as u16).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
-            let run = radix_sort_bits(&spec, &gm, &x, SortOrder::Ascending, 1)
+            let bits = digit_bits::<u16>(&spec, n, 16);
+            let run = radix_sort_bits(&spec, &gm, &x, SortOrder::Ascending, bits)
                 .expect("radix split launches");
             run.report.to_json(&spec)
         }

@@ -18,7 +18,7 @@
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible. `radix-encode` and `radix-split` are
 //! the two launches of the fused radix sort (the encode pre-pass and one
-//! split pass), traced one launch per kernel.
+//! split pass over a full radix digit), traced one launch per kernel.
 //!
 //! Because every kernel owns its whole launch state, independent
 //! kernels trace concurrently on `--jobs N` worker threads (default:
@@ -33,7 +33,7 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
-use ops::radix_sort::{radix_sort_bits, SortOrder};
+use ops::radix_sort::{digit_bits, radix_sort_bits, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::{batched_scanu, cumsum_vec_only, scanu, scanul1};
@@ -206,14 +206,16 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             return recorder.take();
         }
         "radix-encode" | "radix-split" => {
-            // A one-bit sort is the encode launch plus one split pass;
-            // keep only the requested launch, since the analyzers treat
-            // a trace as one launch.
+            // A sort by one full digit is the encode launch plus one
+            // split pass as wide as the size rule picks at `n`; keep
+            // only the requested launch, since the analyzers treat a
+            // trace as one launch.
             let gm = fresh_gm(spec);
             let recorder = gm.attach_profiler();
             let keys: Vec<F16> = (0..n).map(|i| F16::from_f32((i % 977) as f32)).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
-            drop(radix_sort_bits::<F16>(spec, &gm, &x, SortOrder::Ascending, 1).unwrap());
+            let bits = digit_bits::<F16>(spec, n, 16);
+            drop(radix_sort_bits::<F16>(spec, &gm, &x, SortOrder::Ascending, bits).unwrap());
             let name = match kernel {
                 "radix-encode" => "RadixEncode",
                 _ => "RadixSplit",

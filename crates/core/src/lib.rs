@@ -166,7 +166,7 @@ impl Device {
         p: f64,
         theta: f64,
     ) -> SimResult<ops::topp::TopPRun> {
-        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, self.spec.ai_cores)
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta)
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).
@@ -175,7 +175,7 @@ impl Device {
         w: &GlobalTensor<W>,
         theta: f64,
     ) -> SimResult<ops::weighted::WeightedRun> {
-        ops::weighted_sample(&self.spec, &self.gm, w, theta, self.spec.ai_cores)
+        ops::weighted_sample(&self.spec, &self.gm, w, theta)
     }
 
     /// Sum reduction on the cube units (`A @ 1s` row sums).

@@ -8,9 +8,9 @@
 //!   `sort()`-compatible building block).
 //! * [`compress::compress`] — **Compress/compact**: `masked_select`.
 //! * [`radix_sort::radix_sort`] — LSB radix sort (stable, values +
-//!   indices) whose parallel splits run on the cube units; supports
-//!   unsigned/signed integers and `f16` via the order-preserving
-//!   encode/decode pre/post-passes.
+//!   indices), one fused multi-way split launch per radix digit on the
+//!   chained look-back; supports unsigned/signed integers and `f16` via
+//!   the order-preserving encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
 //!   SplitInd (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:

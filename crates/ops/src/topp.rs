@@ -8,12 +8,13 @@
 //! and draws — exactly the pipeline built here from the paper's
 //! operators:
 //!
-//! 1. descending [`radix_sort`] of the probabilities (16 split passes
-//!    for fp16, the paper's 16 scans, each one fused `RadixSplit`
-//!    launch);
-//! 2. inclusive [`scan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count; 1 + 16 + 1 + 2 = 20
-//!    launches with the encode and the two kernels below);
+//! 1. descending [`radix_sort`] of the probabilities (the paper's 16
+//!    one-bit split scans for fp16; here ⌈16 / r⌉ fused `RadixSplit`
+//!    launches of `r`-bit digits, 4 to 8 of them);
+//! 2. inclusive [`scan`] of the sorted probabilities (1 scan — the
+//!    paper's 17 scans per batch become ⌈16 / r⌉ + 1, and the pipeline
+//!    1 + ⌈16 / r⌉ + 1 + 2 launches with the encode and the two kernels
+//!    below: 8 for 4-bit digits, 12 for 2-bit ones);
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).
@@ -43,16 +44,15 @@ pub struct TopPRun {
 /// Draws one token by nucleus sampling from `probs` with threshold `p`,
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
-/// `probs` need not be normalized (the draw is proportional). `blocks`
-/// configures the threshold and search launches; the sort and the scan
-/// size themselves ([`radix_sort`], [`scan::scan`]).
+/// `probs` need not be normalized (the draw is proportional). The
+/// threshold and search launches use every AI core; the sort and the
+/// scan size themselves ([`radix_sort`], [`scan::scan`]).
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     probs: &GlobalTensor<F16>,
     p: f64,
     theta: f64,
-    blocks: u32,
 ) -> SimResult<TopPRun> {
     let n = probs.len();
     if n == 0 {
@@ -88,14 +88,13 @@ pub fn top_p_sample(
         ));
     }
     let p_abs = F16::from_f64(p * total);
-    let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs, blocks)?;
+    let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs)?;
     let n_kept = n_kept.max(1);
 
     // 4. Inverse-transform draw over the kept prefix, reusing the CDF.
     let kept_mass = cdf.read_range(n_kept - 1, 1)?[0];
     let threshold = F16::from_f64(theta * kept_mass.to_f64());
-    let (pos, search_report) =
-        cdf_search(spec, gm, &cdf.slice(0, n_kept)?, n_kept, threshold, blocks)?;
+    let (pos, search_report) = cdf_search(spec, gm, &cdf.slice(0, n_kept)?, n_kept, threshold)?;
     let token = sorted.indices.read_range(pos, 1)?[0];
 
     let mut report = KernelReport::sequential(
@@ -125,7 +124,6 @@ pub fn top_p_sample_batch(
     vocab: usize,
     p: f64,
     thetas: &[f64],
-    blocks: u32,
 ) -> SimResult<(Vec<u32>, KernelReport)> {
     if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -143,7 +141,7 @@ pub fn top_p_sample_batch(
     let mut reports = Vec::with_capacity(batch);
     for (b, &theta) in thetas.iter().enumerate() {
         let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, blocks)?;
+        let run = top_p_sample(spec, gm, &row, p, theta)?;
         tokens.push(run.token);
         reports.push(run.report);
     }
@@ -162,11 +160,10 @@ fn kept_prefix_count(
     cdf: &GlobalTensor<F16>,
     probs_sorted: &GlobalTensor<F16>,
     p_abs: F16,
-    blocks: u32,
 ) -> SimResult<(usize, KernelReport)> {
     let n = cdf.len();
     let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
-    let lanes = (blocks as usize) * spec.vec_per_core as usize;
+    let lanes = spec.total_vec_cores() as usize;
     let counts = GlobalTensor::<u32>::new(gm, lanes)?;
     let spans: Vec<(usize, usize)> = {
         let mut v = Vec::new();
@@ -178,7 +175,7 @@ fn kept_prefix_count(
         }
         v
     };
-    let report = launch(spec, gm, blocks, "TopPThreshold", |ctx| {
+    let report = launch(spec, gm, spec.ai_cores, "TopPThreshold", |ctx| {
         let lane0 = ctx.block_idx as usize * ctx.vecs.len();
         let stride = ctx.block_dim as usize * ctx.vecs.len();
         for v in 0..ctx.vecs.len() {
@@ -220,6 +217,7 @@ fn kept_prefix_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix_sort::digit_bits;
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -237,18 +235,18 @@ mod tests {
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         // p = 0.5: nucleus is {token 3} alone.
         for theta in [0.0, 0.5, 0.99] {
-            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 2).unwrap();
+            let run = top_p_sample(&spec, &gm, &t, 0.5, theta).unwrap();
             assert_eq!(run.n_kept, 1);
             assert_eq!(run.token, 3, "theta = {theta}");
         }
         // p = 0.85: nucleus is {3, 7}.
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9).unwrap();
         assert_eq!(run.n_kept, 2);
         assert_eq!(
             run.token, 7,
             "theta 0.9 of mass 0.9 falls in token 7's slice"
         );
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1).unwrap();
         assert_eq!(run.token, 3);
     }
 
@@ -257,7 +255,7 @@ mod tests {
         let (spec, gm) = setup();
         let probs: Vec<F16> = (1..=64).map(|i| F16::from_f32(i as f32)).collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999).unwrap();
         assert_eq!(run.n_kept, 64);
         // theta ~ 1 lands in the tail of the descending-sorted CDF: the
         // smallest kept probability.
@@ -270,7 +268,7 @@ mod tests {
         let mut probs = vec![F16::ZERO; 50];
         probs[20] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7).unwrap();
         assert_eq!(run.n_kept, 1);
         assert_eq!(run.token, 20);
     }
@@ -292,17 +290,20 @@ mod tests {
 
     #[test]
     fn scan_count_matches_paper() {
-        // 16 radix-sort splits + 1 cumsum scan: the paper's 17 scans.
+        // The paper's 17 scans are 16 one-bit splits + 1 cumsum scan;
+        // with r-bit digits the sort takes ⌈16 / r⌉ splits — 8 at the
+        // tiny chip's r = 2 — and the pipeline 4 + ⌈16 / r⌉ launches.
         let (spec, gm) = setup();
         let probs: Vec<F16> = (0..128)
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
+        assert_eq!(digit_bits::<F16>(&spec, probs.len(), 16), 2);
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let (_, names) = launch_names(&gm, || top_p_sample(&spec, &gm, &t, 0.9, 0.5, 1).unwrap());
+        let (_, names) = launch_names(&gm, || top_p_sample(&spec, &gm, &t, 0.9, 0.5).unwrap());
         let splits = names.iter().filter(|n| *n == "RadixSplit").count();
-        assert_eq!(splits, 16, "{names:?}");
-        assert_eq!(scans(&names), 17, "the paper's 17-scans-per-batch count");
-        assert_eq!(names.len(), 20, "{names:?}");
+        assert_eq!(splits, 8, "{names:?}");
+        assert_eq!(scans(&names), 9, "8 digit splits and the CDF scan");
+        assert_eq!(names.len(), 12, "{names:?}");
     }
 
     #[test]
@@ -316,23 +317,24 @@ mod tests {
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let ((tokens, _), names) = launch_names(&gm, || {
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 2).unwrap()
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9]).unwrap()
         });
         assert_eq!(tokens, vec![7, 31, 99]);
-        // 17 scans per batch element (the paper's accounting).
-        assert_eq!(scans(&names), 17 * batch);
+        // ⌈16 / r⌉ + 1 = 9 scans per batch element (the paper's 17 at
+        // one bit per split).
+        assert_eq!(scans(&names), 9 * batch);
         // Shape errors are rejected.
-        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 2).is_err());
-        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 2).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2]).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1]).is_err());
     }
 
     #[test]
     fn rejects_bad_args() {
         let (spec, gm) = setup();
         let t = GlobalTensor::from_slice(&gm, &[F16::ONE; 8]).unwrap();
-        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 1).is_err());
-        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0).is_err());
         let empty = GlobalTensor::<F16>::new(&gm, 0).unwrap();
-        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5).is_err());
     }
 }

@@ -37,7 +37,6 @@ pub fn weighted_sample<W>(
     gm: &Arc<GlobalMemory>,
     w: &GlobalTensor<W>,
     theta: f64,
-    blocks: u32,
 ) -> SimResult<WeightedRun>
 where
     W: dtypes::CubeInput,
@@ -72,7 +71,7 @@ where
     // into one vector kernel (same traffic as the mask of SplitInd, no
     // value movement) — each vector core finds the first exceeding
     // index in its chunk and the host takes the minimum.
-    let (index, search_report) = cdf_search(spec, gm, &cdf, n, threshold, blocks)?;
+    let (index, search_report) = cdf_search(spec, gm, &cdf, n, threshold)?;
 
     let mut report = KernelReport::sequential("WeightedSample", &[scan_run.report, search_report]);
     report.elements = n as u64;
@@ -87,16 +86,15 @@ where
 /// `Compare` + `ReduceSum`; because the CDF is monotone, the first hit of
 /// a piece is `off + valid - count`. Shared with top-p sampling, which
 /// reuses the sort's cumulative sums instead of rescanning — that is why
-/// top-p costs 17 scans, not 18.
+/// top-p costs one scan after its sort, not two.
 pub(crate) fn cdf_search<W: Numeric>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     cdf: &GlobalTensor<W>,
     n: usize,
     threshold: W,
-    blocks: u32,
 ) -> SimResult<(usize, KernelReport)> {
-    let first_hits = GlobalTensor::<u32>::new(gm, (blocks as usize) * spec.vec_per_core as usize)?;
+    let first_hits = GlobalTensor::<u32>::new(gm, spec.total_vec_cores() as usize)?;
     let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
     let spans: Vec<(usize, usize)> = {
         let mut v = Vec::new();
@@ -108,7 +106,7 @@ pub(crate) fn cdf_search<W: Numeric>(
         }
         v
     };
-    let report = launch(spec, gm, blocks, "CdfSearch", |ctx| {
+    let report = launch(spec, gm, spec.ai_cores, "CdfSearch", |ctx| {
         let lane0 = ctx.block_idx as usize * ctx.vecs.len();
         let stride = ctx.block_dim as usize * ctx.vecs.len();
         for v in 0..ctx.vecs.len() {
@@ -176,7 +174,7 @@ mod tests {
             (0.45, 2),      // 4.5 in (3, 6]
             (0.95, 3),      // 9.5 in (6, 10]
         ] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 1).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta).unwrap();
             assert_eq!(run.index, expect, "theta = {theta}");
         }
     }
@@ -188,7 +186,7 @@ mod tests {
         w[777] = 5.0;
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
         for theta in [0.0, 0.3, 0.9] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 2).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta).unwrap();
             assert_eq!(run.index, 777);
         }
     }
@@ -206,7 +204,7 @@ mod tests {
             })
             .collect();
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5, 2).unwrap();
+        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5).unwrap();
         assert_eq!(run.index, 100);
     }
 
@@ -218,7 +216,7 @@ mod tests {
         let (spec, gm) = setup();
         let w = vec![1.0f32; 70000];
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5, 2).unwrap();
+        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5).unwrap();
         // Uniform weights: theta = 0.5 lands near the middle.
         assert!(
             (run.index as i64 - 35000).abs() < 100,
@@ -231,10 +229,10 @@ mod tests {
     fn rejects_bad_input() {
         let (spec, gm) = setup();
         let t = GlobalTensor::<f32>::new(&gm, 0).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5).is_err());
         let t = GlobalTensor::from_slice(&gm, &[1.0f32]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 10]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5).is_err());
     }
 }

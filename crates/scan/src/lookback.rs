@@ -2,13 +2,16 @@
 //! single-pass kernel learns the sum of every lane before it without a
 //! `SyncAll`. ScanC ([`crate::scanc`]) resolves its lane offsets with it,
 //! and so does the fused radix-sort pass (`ops::radix_sort`), which
-//! resolves each lane's output offset from its predecessors' counts.
+//! resolves each lane's per-bucket output offsets from its
+//! predecessors' bucket counts.
 //!
-//! Each lane `L` owns two mailbox slots in global memory: a **partial**
-//! slot (its local aggregate, published as soon as its local work
-//! finishes) and an **inclusive** slot (the prefix of everything through
-//! `L`, published once its own look-back resolves). A successor with
-//! window `w` consumes
+//! A lane's aggregate is a **row** of `width` elements, summed
+//! element-wise: ScanC publishes one running sum (`width = 1`), a radix
+//! pass one count per bucket. Each lane `L` owns two mailbox rows in
+//! global memory: a **partial** row (its local aggregate, published as
+//! soon as its local work finishes) and an **inclusive** row (the prefix
+//! of everything through `L`, published once its own look-back
+//! resolves). A successor with window `w` consumes
 //!
 //! * one **inclusive** edge from lane `base = max(L − w, 0)`, and
 //! * **partial** edges from lanes `base+1 .. L−1`,
@@ -39,7 +42,8 @@
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::Scheduler;
 use ascendc::{
-    ChipSpec, Core, EventTime, GlobalTensor, LocalTensor, ScratchpadKind, SimResult, SpanArgs,
+    ChipSpec, Core, EventTime, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
+    SpanArgs,
 };
 use dtypes::Numeric;
 use std::sync::Arc;
@@ -116,20 +120,21 @@ pub fn max_window(spec: &ChipSpec) -> usize {
 }
 
 /// A launch's look-back state: the per-lane mailboxes (`2 · nlanes`
-/// slots of `O`) and the static edge schedule. Built on the host before
-/// the launch and shared by every lane.
+/// rows of `width` elements of `O`) and the static edge schedule. Built
+/// on the host before the launch and shared by every lane.
 pub struct Lookback<O: Numeric> {
-    /// Lane `L`'s partial aggregate at index `L`, its inclusive prefix
-    /// at `nlanes + L`. Separate addresses keep the two publishes free
+    /// Lane `L`'s partial aggregate in row `L`, its inclusive prefix in
+    /// row `nlanes + L`. Separate addresses keep the two publishes free
     /// of write-after-write hazards and let a consumer read exactly the
     /// state it needs.
     mailbox: GlobalTensor<O>,
+    width: usize,
     edges: Vec<LaneEdges>,
 }
 
 /// One lane's side of the protocol between [`Lookback::probe`] and
 /// [`LaneLookback::free`]: the probes' arrival edges and the lane's two
-/// one-element publish buffers.
+/// one-row publish buffers.
 pub struct LaneLookback<O: Numeric> {
     lane: usize,
     arrivals: Vec<EventTime>,
@@ -138,17 +143,41 @@ pub struct LaneLookback<O: Numeric> {
 }
 
 impl<O: Numeric> Lookback<O> {
-    /// Mailboxes and edge schedule for `nlanes` lanes with window `w`,
-    /// grid-flag ids cycling modulo `flag_ids`.
-    pub fn new(gm: &Arc<GlobalMemory>, nlanes: usize, w: usize, flag_ids: u32) -> SimResult<Self> {
+    /// Mailboxes and edge schedule for `nlanes` lanes publishing rows of
+    /// `width` elements with window `w`, grid-flag ids cycling modulo
+    /// `flag_ids`.
+    pub fn new(
+        gm: &Arc<GlobalMemory>,
+        nlanes: usize,
+        width: usize,
+        w: usize,
+        flag_ids: u32,
+    ) -> SimResult<Self> {
+        if width == 0 {
+            return Err(SimError::InvalidArgument(
+                "look-back rows need at least one element".into(),
+            ));
+        }
         Ok(Lookback {
-            mailbox: GlobalTensor::<O>::new(gm, 2 * nlanes)?,
+            mailbox: GlobalTensor::<O>::new(gm, 2 * nlanes * width)?,
+            width,
             edges: lookback_edges(nlanes, w, flag_ids),
         })
     }
 
     fn nlanes(&self) -> usize {
         self.edges.len()
+    }
+
+    fn check_row(&self, what: &str, row: &[O]) -> SimResult<()> {
+        if row.len() != self.width {
+            return Err(SimError::InvalidArgument(format!(
+                "look-back {what}: row of {} elements, mailbox rows hold {}",
+                row.len(),
+                self.width
+            )));
+        }
+        Ok(())
     }
 
     /// Probes every look-back edge of `lane`. Call this *before* the
@@ -172,7 +201,7 @@ impl<O: Numeric> Lookback<O> {
                 vc.span_args(
                     hop,
                     SpanArgs {
-                        bytes: O::SIZE as u64,
+                        bytes: (self.width * O::SIZE) as u64,
                         kind: if e.inclusive {
                             "probe-incl"
                         } else {
@@ -194,7 +223,7 @@ impl<O: Numeric> Lookback<O> {
         })
     }
 
-    /// Publishes the lane's *partial* aggregate the moment its local
+    /// Publishes the lane's *partial* aggregate row the moment its local
     /// work produces it — successors within the window can fold it into
     /// their prefixes without waiting for this lane's own look-back to
     /// resolve.
@@ -203,16 +232,19 @@ impl<O: Numeric> Lookback<O> {
         vc: &mut Core<'_>,
         grid: &Scheduler,
         st: &mut LaneLookback<O>,
-        partial: O,
+        partial: &[O],
         partial_ready: EventTime,
     ) -> SimResult<()> {
-        let lane = st.lane;
-        let mut mb = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
+        self.check_row("partial", partial)?;
+        let (lane, width) = (st.lane, self.width);
+        let mut mb = vc.alloc_local::<O>(ScratchpadKind::Ub, width)?;
         let ids = &self.edges[lane].publish_partial;
         if !ids.is_empty() {
             let publish = vc.span_begin("lookback:publish-partial");
-            vc.insert(&mut mb, 0, partial, partial_ready)?;
-            let stored = vc.copy_out(&self.mailbox, lane, &mb, 0, 1, &[])?;
+            for (j, &p) in partial.iter().enumerate() {
+                vc.insert(&mut mb, j, p, partial_ready)?;
+            }
+            let stored = vc.copy_out(&self.mailbox, lane * width, &mb, 0, width, &[])?;
             for &id in ids {
                 vc.set_grid_flag(grid, id, &[stored])?;
             }
@@ -222,18 +254,20 @@ impl<O: Numeric> Lookback<O> {
         Ok(())
     }
 
-    /// Resolves the lane's exclusive prefix and publishes its inclusive
-    /// one. Returns the exclusive prefix and when it is ready.
+    /// Resolves the lane's exclusive prefix row and publishes its
+    /// inclusive one. Returns the exclusive prefix and when it is ready.
     ///
-    /// The probed mailbox slots are copied in (each gated on its arrival
+    /// The probed mailbox rows are copied in (each gated on its arrival
     /// edge, long since in flight) and folded in ascending producer
-    /// order: slot 0 holds the inclusive prefix through `base`, and each
-    /// partial is added with the same element+scalar `vadds` the chained
-    /// protocol uses, so the grouping — and hence every rounded fp16
-    /// bit — matches `w = 1`.
+    /// order: row 0 holds the inclusive prefix through `base`, and each
+    /// partial row is added to it. A one-element row is added with the
+    /// same element+scalar `vadds` the chained protocol uses, so the
+    /// grouping — and hence every rounded fp16 bit — matches `w = 1`;
+    /// wider rows take one vector `Add` per row, which groups each
+    /// element the same way.
     ///
     /// The inclusive prefix is `partial ⊕ prev`, computed directly on a
-    /// 1-element mailbox buffer and published on the shortest possible
+    /// one-row mailbox buffer and published on the shortest possible
     /// path, without a whole-tile vector op on the chain link a
     /// successor is polling.
     pub fn resolve(
@@ -241,39 +275,65 @@ impl<O: Numeric> Lookback<O> {
         vc: &mut Core<'_>,
         grid: &Scheduler,
         st: &mut LaneLookback<O>,
-        partial: O,
+        partial: &[O],
         partial_ready: EventTime,
-    ) -> SimResult<(O, EventTime)> {
-        let lane = st.lane;
+    ) -> SimResult<(Vec<O>, EventTime)> {
+        self.check_row("partial", partial)?;
+        let (lane, width) = (st.lane, self.width);
         let edges = &self.edges[lane];
         let lookback = vc.span_begin("lookback");
         let nhops = edges.consume.len();
-        let (prev, prev_ready) = if nhops > 0 {
-            let mut hop = vc.alloc_local::<O>(ScratchpadKind::Ub, nhops)?;
+        let mut prev = vec![O::zero(); width];
+        let mut prev_ready = 0;
+        if nhops > 0 {
+            let mut hop = vc.alloc_local::<O>(ScratchpadKind::Ub, nhops * width)?;
             for (k, e) in edges.consume.iter().enumerate() {
-                let slot = if e.inclusive {
+                let row = if e.inclusive {
                     self.nlanes() + e.producer
                 } else {
                     e.producer
                 };
-                vc.copy_in(&mut hop, k, &self.mailbox, slot, 1, &[st.arrivals[k]])?;
+                vc.copy_in(
+                    &mut hop,
+                    k * width,
+                    &self.mailbox,
+                    row * width,
+                    width,
+                    &[st.arrivals[k]],
+                )?;
             }
             for k in 1..nhops {
-                let (pk, pk_ready) = vc.extract(&hop, k)?;
-                vc.vadds(&mut hop, 0, 1, pk, pk_ready)?;
+                if width == 1 {
+                    let (pk, pk_ready) = vc.extract(&hop, k)?;
+                    vc.vadds(&mut hop, 0, 1, pk, pk_ready)?;
+                } else {
+                    vc.vadd_rows(&mut hop, 0, k * width, width)?;
+                }
             }
-            let out = vc.extract(&hop, 0)?;
+            for (j, p) in prev.iter_mut().enumerate() {
+                let (v, ready) = vc.extract(&hop, j)?;
+                *p = v;
+                prev_ready = prev_ready.max(ready);
+            }
             vc.free_local(hop)?;
-            out
-        } else {
-            (O::zero(), 0)
-        };
+        }
 
-        let mut mb = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
+        let mut mb = vc.alloc_local::<O>(ScratchpadKind::Ub, width)?;
         if !edges.publish_inclusive.is_empty() {
-            vc.insert(&mut mb, 0, partial, partial_ready)?;
-            vc.vadds(&mut mb, 0, 1, prev, prev_ready)?;
-            let stored = vc.copy_out(&self.mailbox, self.nlanes() + lane, &mb, 0, 1, &[])?;
+            for (j, &p) in partial.iter().enumerate() {
+                vc.insert(&mut mb, j, p, partial_ready)?;
+            }
+            for (j, &p) in prev.iter().enumerate() {
+                vc.vadds(&mut mb, j, 1, p, prev_ready)?;
+            }
+            let stored = vc.copy_out(
+                &self.mailbox,
+                (self.nlanes() + lane) * width,
+                &mb,
+                0,
+                width,
+                &[],
+            )?;
             for &id in &edges.publish_inclusive {
                 vc.set_grid_flag(grid, id, &[stored])?;
             }
@@ -302,6 +362,8 @@ impl<O: Numeric> LaneLookback<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ascendc::launch;
+    use dtypes::F16;
 
     #[test]
     fn edge_schedule_window_one_is_the_chained_protocol() {
@@ -345,6 +407,81 @@ mod tests {
         assert_eq!(lanes[0].publish_inclusive.len(), 2);
         assert!(lanes[4].publish_partial.is_empty());
         assert!(lanes[4].publish_inclusive.is_empty());
+    }
+
+    /// Runs one lane per row of `rows`: each publishes its row, resolves
+    /// its exclusive prefix with window `w` and stores it. Returns the
+    /// prefixes, lane-major.
+    fn fold_rows(rows: &[Vec<F16>], w: usize) -> Vec<F16> {
+        let spec = ChipSpec::tiny();
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        let (nlanes, width) = (rows.len(), rows[0].len());
+        let lb = Lookback::<F16>::new(&gm, nlanes, width, w, spec.flag_id_limit).unwrap();
+        let out = GlobalTensor::<F16>::new(&gm, nlanes * width).unwrap();
+        let vpc = spec.vec_per_core as usize;
+        launch(&spec, &gm, nlanes.div_ceil(vpc) as u32, "FoldRows", |ctx| {
+            let grid = ctx.grid();
+            for v in 0..vpc {
+                let lane = ctx.block_idx as usize * vpc + v;
+                if lane >= nlanes {
+                    continue;
+                }
+                let vc = &mut ctx.vecs[v];
+                let mut st = lb.probe(vc, grid, lane)?;
+                lb.publish_partial(vc, grid, &mut st, &rows[lane], 0)?;
+                let (prev, ready) = lb.resolve(vc, grid, &mut st, &rows[lane], 0)?;
+                let mut buf = vc.alloc_local::<F16>(ScratchpadKind::Ub, width)?;
+                for (j, &p) in prev.iter().enumerate() {
+                    vc.insert(&mut buf, j, p, ready)?;
+                }
+                vc.copy_out(&out, lane * width, &buf, 0, width, &[])?;
+                vc.free_local(buf)?;
+                st.free(vc)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        out.to_vec()
+    }
+
+    #[test]
+    fn row_fold_equals_independent_scalar_folds() {
+        // fp16 rows whose sums round: the width-D fold must group every
+        // element exactly as a width-1 fold of that element alone.
+        let (nlanes, width) = (7, 5);
+        let rows: Vec<Vec<F16>> = (0..nlanes)
+            .map(|l| {
+                (0..width)
+                    .map(|j| F16::from_f32(1000.0 + (l * 7 + j * 3) as f32 * 0.37))
+                    .collect()
+            })
+            .collect();
+        for w in [1, 2] {
+            let wide = fold_rows(&rows, w);
+            for j in 0..width {
+                let column: Vec<Vec<F16>> = rows.iter().map(|r| vec![r[j]]).collect();
+                let narrow = fold_rows(&column, w);
+                for lane in 0..nlanes {
+                    assert_eq!(
+                        wide[lane * width + j].to_bits(),
+                        narrow[lane].to_bits(),
+                        "w = {w}, lane {lane}, element {j}"
+                    );
+                }
+            }
+            assert_eq!(
+                wide[..width],
+                vec![F16::ZERO; width][..],
+                "lane 0 has no prefix"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_must_match_the_mailbox_width() {
+        let spec = ChipSpec::tiny();
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        assert!(Lookback::<i32>::new(&gm, 3, 0, 1, spec.flag_id_limit).is_err());
     }
 
     #[test]

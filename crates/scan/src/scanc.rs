@@ -183,7 +183,7 @@ where
     // shared look-back schedule.
     let flag_ids = spec.flag_id_limit;
     let per_vec_ids = (flag_ids / spec.vec_per_core).max(1);
-    let lookback = Lookback::<O>::new(gm, nlanes, wdw, flag_ids)?;
+    let lookback = Lookback::<O>::new(gm, nlanes, 1, wdw, flag_ids)?;
 
     let mut report = launch(spec, gm, blocks, "ScanC", |ctx| {
         let block = ctx.block_idx as usize;
@@ -307,9 +307,10 @@ where
                 bufs.push(buf);
             }
 
-            lookback.publish_partial(vc, grid, &mut lane_lb, partial, partial_ready)?;
+            lookback.publish_partial(vc, grid, &mut lane_lb, &[partial], partial_ready)?;
             let (prev, prev_ready) =
-                lookback.resolve(vc, grid, &mut lane_lb, partial, partial_ready)?;
+                lookback.resolve(vc, grid, &mut lane_lb, &[partial], partial_ready)?;
+            let prev = prev[0];
 
             // Finish the lane: offset the tiles and store y (shifted
             // one element right for an exclusive scan).

@@ -45,8 +45,10 @@ fn main() {
         );
     }
 
-    // The paper's accounting: one fp16 top-p = 16 radix-sort scans plus
-    // one cumulative-sum scan. Each sort scan is a fused split launch.
+    // The paper's accounting: one fp16 top-p = 16 one-bit radix-sort
+    // scans plus one cumulative-sum scan. Here each sort scan is a fused
+    // split launch over an r-bit digit, so the sort takes ⌈16 / r⌉ of
+    // them.
     let (run, profile) = ascend_scan::sim::prof::with_profiling(dev.memory(), || {
         dev.top_p(&x, 0.9, 0.5).expect("top-p sample")
     });
@@ -56,7 +58,7 @@ fn main() {
         .filter(|k| ["RadixSplit", "ScanC", "MCScan"].contains(&k.name.as_str()))
         .count();
     println!(
-        "\nscans per sample: {scans} ({} launches, {:.2} ms) — the paper's '17 scans per batch'",
+        "\nscans per sample: {scans} ({} launches, {:.2} ms) — the paper's '17 scans per batch' at one bit per split",
         profile.kernels.len(),
         run.report.time_ms()
     );

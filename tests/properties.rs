@@ -4,6 +4,7 @@
 
 use ascend_scan::ascendc::Bits;
 use ascend_scan::dtypes::{Element, Numeric, RadixKey, F16};
+use ascend_scan::ops::radix_sort::{digit_bits, radix_sort_bits};
 use ascend_scan::ops::SortOrder;
 use ascend_scan::{ChipSpec, Device, McScanConfig, ScanKind};
 use proptest::prelude::*;
@@ -18,16 +19,46 @@ fn scan_reference(mask: &[u8]) -> Vec<i32> {
         .collect()
 }
 
-/// Sorts `data` on a fresh tiny-chip device and checks values and
-/// indices against a host stable sort of the encoded keys.
-fn check_fused_sort<K>(data: &[K], order: SortOrder) -> Result<(), TestCaseError>
+/// Launch costs for the tiny chip under which the radix sort's size
+/// rule picks every digit width from 2 to 4 bits at the property test's
+/// sizes (1-bit digits come from 1-bit sorts).
+const SORT_LAUNCH_CYCLES: [u64; 3] = [100, 1_000, 9_000];
+
+/// The tiny chip with launches costing `launch_cycles`.
+fn sort_chip(launch_cycles: u64) -> ChipSpec {
+    ChipSpec {
+        launch_cycles,
+        ..ChipSpec::tiny()
+    }
+}
+
+/// The low-`bits` sort a property case runs: `sel = 0` sorts the whole
+/// key, otherwise `1 + (sel - 1) mod K::BITS` bits.
+fn sort_bits<K: RadixKey>(sel: u32) -> u32 {
+    if sel == 0 {
+        K::BITS
+    } else {
+        1 + (sel - 1) % K::BITS
+    }
+}
+
+/// Sorts `data` by the low `bits` bits of its encoded keys on a fresh
+/// device and checks values and indices against a host stable sort.
+fn check_fused_sort<K>(
+    spec: ChipSpec,
+    data: &[K],
+    order: SortOrder,
+    bits: u32,
+) -> Result<(), TestCaseError>
 where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let dev = Device::with_spec(ChipSpec::tiny());
-    let run = dev.sort(&dev.tensor(data).unwrap(), order).unwrap();
-    let key = |i: &u32| -> u64 { data[*i as usize].encode().into() };
+    let dev = Device::with_spec(spec);
+    let x = dev.tensor(data).unwrap();
+    let run = radix_sort_bits(dev.spec(), dev.memory(), &x, order, bits).unwrap();
+    let low = u64::MAX >> (64 - bits);
+    let key = |i: &u32| -> u64 { Into::<u64>::into(data[*i as usize].encode()) & low };
     let mut expect: Vec<u32> = (0..data.len() as u32).collect();
     match order {
         SortOrder::Ascending => expect.sort_by_key(key),
@@ -35,10 +66,26 @@ where
     }
     let got = run.indices.to_vec();
     prop_assert_eq!(&got, &expect);
-    let bits = |v: &[K]| -> Vec<u64> { v.iter().map(|k| k.encode().into()).collect() };
+    let encoded = |v: &[K]| -> Vec<u64> { v.iter().map(|k| k.encode().into()).collect() };
     let want: Vec<K> = expect.iter().map(|&i| data[i as usize]).collect();
-    prop_assert_eq!(bits(&run.values.to_vec()), bits(&want));
+    prop_assert_eq!(encoded(&run.values.to_vec()), encoded(&want));
     Ok(())
+}
+
+#[test]
+fn sort_property_space_reaches_every_digit_width() {
+    // The size rule's widths over the launch costs, 16-bit sizes and
+    // bit counts the sort property draws: every width up to the 4-bit
+    // maximum.
+    let mut widths = std::collections::BTreeSet::new();
+    for launch in SORT_LAUNCH_CYCLES {
+        for pieces in 0..=40 {
+            for bits in 1..=16 {
+                widths.insert(digit_bits::<u16>(&sort_chip(launch), pieces * 256, bits));
+            }
+        }
+    }
+    assert_eq!(widths.into_iter().collect::<Vec<_>>(), [1, 2, 3, 4]);
 }
 
 proptest! {
@@ -46,20 +93,26 @@ proptest! {
 
     #[test]
     fn fused_radix_sort_matches_host_stable_sort(
-        pieces in 0usize..=20,
+        pieces in 0usize..=40,
         offset in 0usize..3,
         dtype in 0usize..5,
         descending in any::<bool>(),
         seed in any::<u64>(),
+        launch in 0usize..SORT_LAUNCH_CYCLES.len(),
+        bits_sel in 0u32..=17,
     ) {
         // n = pieces·256 − 1, pieces·256 or pieces·256 + 1, with 256-key
-        // pieces on the tiny chip: n ∈ {0, 1} at pieces = 0, piece
-        // boundaries throughout, lane boundaries wherever the lane
-        // length divides `pieces`, and from 17 pieces up, passes whose
-        // 5 lanes span two waves of the chip's 4 vector cores. Keys are
+        // 16-bit pieces (512-key 8-bit ones) on the tiny chip: n ∈ {0, 1}
+        // at pieces = 0, piece boundaries throughout, lane boundaries
+        // wherever the lane length divides the pieces, and from 33
+        // 16-bit pieces up, passes whose 5 lanes span two waves of the
+        // chip's 4 vector cores. The launch cost moves the size rule's
+        // digit width, and `bits_sel` sorts by the low bits only, so
+        // the last digit is often narrower than the others. Keys are
         // drawn from a narrow range so stability is exercised, and fp16
         // keys include NaNs of both signs, ±0 and ±∞.
         let n = (pieces * 256 + offset).saturating_sub(1);
+        let spec = sort_chip(SORT_LAUNCH_CYCLES[launch]);
         let order = if descending { SortOrder::Descending } else { SortOrder::Ascending };
         let word = |i: usize| {
             let x = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -67,10 +120,10 @@ proptest! {
         };
         let specials = [0x7E00u16, 0xFE00, 0x0000, 0x8000, 0x7C00, 0xFC00, 0x7C01];
         match dtype {
-            0 => check_fused_sort((0..n).map(|i| (word(i) % 7) as u8 * 37).collect::<Vec<u8>>().as_slice(), order)?,
-            1 => check_fused_sort((0..n).map(|i| ((word(i) % 9) as i32 * 29 - 116) as i8).collect::<Vec<i8>>().as_slice(), order)?,
-            2 => check_fused_sort((0..n).map(|i| (word(i) % 600) as u16 * 109).collect::<Vec<u16>>().as_slice(), order)?,
-            3 => check_fused_sort((0..n).map(|i| ((word(i) % 600) as i32 * 109 - 32_700) as i16).collect::<Vec<i16>>().as_slice(), order)?,
+            0 => check_fused_sort(spec, (0..n).map(|i| (word(i) % 7) as u8 * 37).collect::<Vec<u8>>().as_slice(), order, sort_bits::<u8>(bits_sel))?,
+            1 => check_fused_sort(spec, (0..n).map(|i| ((word(i) % 9) as i32 * 29 - 116) as i8).collect::<Vec<i8>>().as_slice(), order, sort_bits::<i8>(bits_sel))?,
+            2 => check_fused_sort(spec, (0..n).map(|i| (word(i) % 600) as u16 * 109).collect::<Vec<u16>>().as_slice(), order, sort_bits::<u16>(bits_sel))?,
+            3 => check_fused_sort(spec, (0..n).map(|i| ((word(i) % 600) as i32 * 109 - 32_700) as i16).collect::<Vec<i16>>().as_slice(), order, sort_bits::<i16>(bits_sel))?,
             _ => {
                 let data: Vec<F16> = (0..n)
                     .map(|i| match word(i) % 8 {
@@ -78,7 +131,7 @@ proptest! {
                         w => F16::from_f32((w as f32 - 4.0) * ((word(i) >> 12) % 50) as f32 / 8.0),
                     })
                     .collect();
-                check_fused_sort(&data, order)?
+                check_fused_sort(spec, &data, order, sort_bits::<F16>(bits_sel))?
             }
         }
     }
