@@ -30,14 +30,15 @@
 //!   bounds: removing a cost can surface a second-longest path that the
 //!   subtraction does not see.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::OnceCell;
+use std::collections::HashMap;
 
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
 use crate::prof::{StallCause, StallEvent, TraceSpan, BLOCK_SCOPE};
 use crate::sync::{FinalRecord, RoundRecord};
 use crate::timeline::EventTime;
-use crate::trace::{HbAction, HbEvent, TraceEvent};
+use crate::trace::{HbAction, HbEvent, StreamIndex, TraceEvent};
 
 /// What a critical-path segment spends its cycles on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,11 +223,7 @@ pub struct CritInput<'a> {
 
 #[derive(Clone, Copy, Debug)]
 enum IvKind {
-    Busy {
-        engine: EngineKind,
-        flag: bool,
-        chain: bool,
-    },
+    Busy(EngineKind),
     Stall(StallCause),
 }
 
@@ -240,7 +237,79 @@ struct Iv {
 struct Lane {
     block: u32,
     core: u32,
+    /// Sorted by `(start, end)`.
     ivs: Vec<Iv>,
+    /// Whether the ends are non-decreasing too, as they are whenever
+    /// the intervals tile the lane: then the intervals ending at a cycle
+    /// are found by binary search.
+    ends_sorted: bool,
+}
+
+impl Lane {
+    /// Indices of the intervals ending at `t`, ascending.
+    fn ending_at(&self, t: EventTime) -> impl Iterator<Item = usize> + '_ {
+        let range = if self.ends_sorted {
+            let from = self.ivs.partition_point(|iv| iv.end < t);
+            from..from + self.ivs[from..].partition_point(|iv| iv.end == t)
+        } else {
+            0..self.ivs.len()
+        };
+        range.filter(move |&i| self.ivs[i].end == t)
+    }
+}
+
+/// Builds the per-`(block, core, engine)` lanes of busy + stall
+/// intervals, in key order. Busy and idle intervals tile each lane
+/// (that is audited elsewhere); the walk re-checks the property
+/// locally.
+fn build_lanes(input: &CritInput<'_>) -> Vec<Lane> {
+    // Dense stream slots hold the lanes in key order; a counting pass
+    // sizes every lane exactly.
+    let index = StreamIndex::new(
+        input
+            .events
+            .iter()
+            .map(|e| (e.block, e.core))
+            .chain(input.stalls.iter().map(|s| (s.block, s.core))),
+    );
+    let mut counts = vec![0usize; index.len()];
+    for ev in input.events {
+        counts[index.slot(ev.block, ev.core, ev.engine)] += 1;
+    }
+    for st in input.stalls {
+        counts[index.slot(st.block, st.core, st.engine)] += 1;
+    }
+    let mut by_key: Vec<Vec<Iv>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for ev in input.events {
+        by_key[index.slot(ev.block, ev.core, ev.engine)].push(Iv {
+            start: ev.start,
+            end: ev.end,
+            kind: IvKind::Busy(ev.engine),
+        });
+    }
+    for st in input.stalls {
+        by_key[index.slot(st.block, st.core, st.engine)].push(Iv {
+            start: st.start,
+            end: st.end,
+            kind: IvKind::Stall(st.cause),
+        });
+    }
+    let mut lanes = Vec::new();
+    for (k, mut ivs) in by_key.into_iter().enumerate() {
+        if ivs.is_empty() {
+            continue;
+        }
+        ivs.sort_unstable_by_key(|iv| (iv.start, iv.end));
+        let ends_sorted = ivs.windows(2).all(|w| w[0].end <= w[1].end);
+        let (block, core, _) = index.key(k);
+        lanes.push(Lane {
+            block,
+            core,
+            ivs,
+            ends_sorted,
+        });
+    }
+    lanes
 }
 
 /// Where the backward walk currently stands. `t` (held outside) is the
@@ -271,22 +340,59 @@ type FlagKey = (bool, u32, u64);
 type WaitSite = (u32, u32, bool, u32, u64);
 /// A `(block, core, cycle)` point on a lane's timeline.
 type LanePoint = (u32, u32, EventTime);
-/// Arrival edges keyed by consumer lane point → producer lane points.
-type ArrivalIndex = HashMap<LanePoint, Vec<LanePoint>>;
+
+/// A multimap held as one array sorted by key. Entries with equal keys
+/// keep the order they were added in, which is the order a lookup
+/// yields them: the walk's candidate order. Building it is one stable
+/// sort and a lookup is a binary search, so the index needs neither
+/// hashing nor an allocation per key.
+struct SortedIndex<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K: Ord + Copy, V> SortedIndex<K, V> {
+    fn new(mut entries: Vec<(K, V)>) -> Self {
+        entries.sort_by_key(|e| e.0);
+        SortedIndex { entries }
+    }
+
+    /// The entries under `key`, in insertion order.
+    fn get(&self, key: K) -> impl Iterator<Item = &V> {
+        let lo = self.entries.partition_point(|e| e.0 < key);
+        let len = self.entries[lo..].partition_point(|e| e.0 == key);
+        self.entries[lo..lo + len].iter().map(|e| &e.1)
+    }
+
+    fn contains(&self, key: K) -> bool {
+        self.get(key).next().is_some()
+    }
+
+    /// The entry added last under `key` (a map's insert-overwrite).
+    fn last(&self, key: K) -> Option<&V> {
+        self.get(key).last()
+    }
+}
 
 struct Analyzer<'a> {
     input: &'a CritInput<'a>,
-    lanes: Vec<Lane>,
-    /// Busy intervals by end cycle, in deterministic lane order.
-    busy_end: HashMap<EventTime, Vec<(usize, usize)>>,
-    /// Stall intervals by end cycle, in deterministic lane order.
-    stall_end: HashMap<EventTime, Vec<(usize, usize)>>,
+    /// `(block, core, cycle)` points of flag and grid-flag instructions,
+    /// sorted: busy intervals ending there are flag instructions.
+    flag_times: Vec<LanePoint>,
+    /// The grid-flag subset of `flag_times`: look-back chain links.
+    chain_times: Vec<LanePoint>,
+    /// The recorded intervals, built on the walk's first lane lookup. A
+    /// launch whose makespan is its bandwidth bound is explained by the
+    /// round records alone, and never needs them. The walk steps along
+    /// a lane or looks up what ends at a cycle on one core, one block or
+    /// (rarely) any lane, so per-lane binary searches serve it without a
+    /// launch-wide end-cycle index.
+    lanes: OnceCell<Vec<Lane>>,
     /// Flag/grid-flag waits by `(block, core, time)`.
-    waits: HashMap<(u32, u32, EventTime), Vec<FlagKey>>,
+    waits: SortedIndex<LanePoint, FlagKey>,
     /// Flag/grid-flag waits by time alone (cross-lane fallback).
-    waits_by_time: HashMap<EventTime, Vec<WaitSite>>,
-    /// Flag/grid-flag sets by `(grid, id, token)`.
-    sets: HashMap<FlagKey, (u32, u32, EventTime)>,
+    waits_by_time: SortedIndex<EventTime, WaitSite>,
+    /// Flag/grid-flag sets by `(grid, id, token)`; the last set wins.
+    sets: SortedIndex<FlagKey, LanePoint>,
     /// Grid-flag *arrival* edges by `(consumer block, consumer core,
     /// set time + flag_wait_cycles)` → producer `(block, core, set
     /// time)`. A blocking wait resumes exactly at the arrival and is
@@ -294,11 +400,11 @@ struct Analyzer<'a> {
     /// records its hb event at the earlier poll time and threads the
     /// arrival as a plain dependency, so the dependent instruction's
     /// `Dependency` stall ends at a cycle only this index can justify.
-    arrivals: ArrivalIndex,
+    arrivals: SortedIndex<LanePoint, LanePoint>,
     /// Arrival edges by time alone (cross-lane fallback).
-    arrivals_by_time: HashMap<EventTime, Vec<(u32, u32, EventTime)>>,
-    /// Depth-1 block-scope spans per block, sorted by start.
-    phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>>,
+    arrivals_by_time: SortedIndex<EventTime, LanePoint>,
+    /// Depth-1 block-scope spans by block, each block's sorted by start.
+    phase_spans: SortedIndex<u32, (EventTime, EventTime, &'static str)>,
 }
 
 fn viol(what: &'static str, detail: String) -> SimError {
@@ -308,184 +414,156 @@ fn viol(what: &'static str, detail: String) -> SimError {
 impl<'a> Analyzer<'a> {
     fn new(input: &'a CritInput<'a>) -> Self {
         // Index the hb flag traffic first; busy tagging needs it.
-        let mut waits: HashMap<(u32, u32, EventTime), Vec<FlagKey>> = HashMap::new();
-        let mut waits_by_time: HashMap<EventTime, Vec<WaitSite>> = HashMap::new();
-        let mut sets: HashMap<FlagKey, (u32, u32, EventTime)> = HashMap::new();
-        let mut flag_times: HashSet<(u32, u32, EventTime)> = HashSet::new();
-        let mut chain_times: HashSet<(u32, u32, EventTime)> = HashSet::new();
+        let mut waits = Vec::new();
+        let mut waits_by_time = Vec::new();
+        let mut sets = Vec::new();
+        let mut flag_times: Vec<LanePoint> = Vec::new();
+        let mut chain_times: Vec<LanePoint> = Vec::new();
         let mut grid_waits: Vec<(u32, u32, FlagKey)> = Vec::new();
         for e in input.hb {
+            let at = (e.block, e.core, e.time);
             match e.action {
                 HbAction::FlagSet { id, token } => {
                     // Flag files are per block: namespace the token by
                     // block so (id, token) pairs cannot collide.
-                    sets.insert(
-                        (false, id, (e.block as u64) << 40 | token),
-                        (e.block, e.core, e.time),
-                    );
-                    flag_times.insert((e.block, e.core, e.time));
+                    sets.push(((false, id, (e.block as u64) << 40 | token), at));
+                    flag_times.push(at);
                 }
                 HbAction::FlagWait { id, token } => {
                     let tok = (e.block as u64) << 40 | token;
-                    waits
-                        .entry((e.block, e.core, e.time))
-                        .or_default()
-                        .push((false, id, tok));
-                    waits_by_time
-                        .entry(e.time)
-                        .or_default()
-                        .push((e.block, e.core, false, id, tok));
-                    flag_times.insert((e.block, e.core, e.time));
+                    waits.push((at, (false, id, tok)));
+                    waits_by_time.push((e.time, (e.block, e.core, false, id, tok)));
+                    flag_times.push(at);
                 }
                 HbAction::GridFlagSet { id, token } => {
-                    sets.insert((true, id, token), (e.block, e.core, e.time));
-                    flag_times.insert((e.block, e.core, e.time));
-                    chain_times.insert((e.block, e.core, e.time));
+                    sets.push(((true, id, token), at));
+                    flag_times.push(at);
+                    chain_times.push(at);
                 }
                 HbAction::GridFlagWait { id, token } => {
-                    waits
-                        .entry((e.block, e.core, e.time))
-                        .or_default()
-                        .push((true, id, token));
-                    waits_by_time
-                        .entry(e.time)
-                        .or_default()
-                        .push((e.block, e.core, true, id, token));
-                    flag_times.insert((e.block, e.core, e.time));
-                    chain_times.insert((e.block, e.core, e.time));
+                    waits.push((at, (true, id, token)));
+                    waits_by_time.push((e.time, (e.block, e.core, true, id, token)));
+                    flag_times.push(at);
+                    chain_times.push(at);
                     grid_waits.push((e.block, e.core, (true, id, token)));
                 }
                 _ => {}
             }
         }
+        let sets = SortedIndex::new(sets);
+        flag_times.sort_unstable();
+        chain_times.sort_unstable();
 
         // Join every grid consume with its set to get the arrival edge
         // (set + wire latency) keyed by the *consumer* — this is the
         // only record of an overlapped (probed) hop's delivery time.
-        let mut arrivals = ArrivalIndex::new();
-        let mut arrivals_by_time: HashMap<EventTime, Vec<(u32, u32, EventTime)>> = HashMap::new();
+        let mut arrivals = Vec::new();
+        let mut arrivals_by_time = Vec::new();
         for (b, c, key) in grid_waits {
-            if let Some(&(pb, pc, ts)) = sets.get(&key) {
+            if let Some(&(pb, pc, ts)) = sets.last(key) {
                 let at = ts + input.flag_wait_cycles;
-                arrivals.entry((b, c, at)).or_default().push((pb, pc, ts));
-                arrivals_by_time.entry(at).or_default().push((pb, pc, ts));
+                arrivals.push(((b, c, at), (pb, pc, ts)));
+                arrivals_by_time.push((at, (pb, pc, ts)));
             }
         }
 
-        // Build per-(block, core, engine) lanes of busy + stall
-        // intervals. Busy and idle intervals tile each lane (that is
-        // audited elsewhere); the walk re-checks the property locally.
-        let mut by_key: HashMap<(u32, u32, usize), Vec<Iv>> = HashMap::new();
-        for ev in input.events {
-            let dur = ev.end - ev.start;
-            let is_flag_instr = ev.engine == EngineKind::FLAG_ENGINE
-                && (flag_times.contains(&(ev.block, ev.core, ev.end))
-                    || dur == input.flag_set_cycles
-                    || dur == input.flag_wait_cycles);
-            let is_chain_instr = ev.engine == EngineKind::FLAG_ENGINE
-                && chain_times.contains(&(ev.block, ev.core, ev.end));
-            by_key
-                .entry((ev.block, ev.core, ev.engine.index()))
-                .or_default()
-                .push(Iv {
-                    start: ev.start,
-                    end: ev.end,
-                    kind: IvKind::Busy {
-                        engine: ev.engine,
-                        flag: is_flag_instr || is_chain_instr,
-                        chain: is_chain_instr,
-                    },
-                });
-        }
-        for st in input.stalls {
-            by_key
-                .entry((st.block, st.core, st.engine.index()))
-                .or_default()
-                .push(Iv {
-                    start: st.start,
-                    end: st.end,
-                    kind: IvKind::Stall(st.cause),
-                });
-        }
-        let mut keys: Vec<(u32, u32, usize)> = by_key.keys().copied().collect();
-        keys.sort_unstable();
-        let mut lanes = Vec::with_capacity(keys.len());
-        let mut busy_end: HashMap<EventTime, Vec<(usize, usize)>> = HashMap::new();
-        let mut stall_end: HashMap<EventTime, Vec<(usize, usize)>> = HashMap::new();
-        for key in keys {
-            let mut ivs = by_key.remove(&key).expect("keyed lane");
-            ivs.sort_unstable_by_key(|iv| (iv.start, iv.end));
-            let li = lanes.len();
-            for (i, iv) in ivs.iter().enumerate() {
-                match iv.kind {
-                    IvKind::Busy { .. } => busy_end.entry(iv.end).or_default().push((li, i)),
-                    IvKind::Stall(_) => stall_end.entry(iv.end).or_default().push((li, i)),
-                }
-            }
-            lanes.push(Lane {
-                block: key.0,
-                core: key.1,
-                ivs,
-            });
-        }
-
-        let mut phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>> =
-            HashMap::new();
-        for s in input.spans {
-            if s.depth == 1 && s.core == BLOCK_SCOPE {
-                phase_spans
-                    .entry(s.block)
-                    .or_default()
-                    .push((s.start, s.end, s.name));
-            }
-        }
-        for spans in phase_spans.values_mut() {
-            spans.sort_unstable();
-        }
+        let mut phase_spans: Vec<(u32, (EventTime, EventTime, &'static str))> = input
+            .spans
+            .iter()
+            .filter(|s| s.depth == 1 && s.core == BLOCK_SCOPE)
+            .map(|s| (s.block, (s.start, s.end, s.name)))
+            .collect();
+        phase_spans.sort_unstable();
 
         Analyzer {
             input,
-            lanes,
-            busy_end,
-            stall_end,
-            waits,
-            waits_by_time,
+            flag_times,
+            chain_times,
+            lanes: OnceCell::new(),
+            waits: SortedIndex::new(waits),
+            waits_by_time: SortedIndex::new(waits_by_time),
             sets,
-            arrivals,
-            arrivals_by_time,
-            phase_spans,
+            arrivals: SortedIndex::new(arrivals),
+            arrivals_by_time: SortedIndex::new(arrivals_by_time),
+            phase_spans: SortedIndex::new(phase_spans),
         }
     }
 
     /// Grid-flag arrival edge delivered to `(block, core)` at `t`, if
     /// any (probed hops; blocking hops resolve via [`Self::wire_at`]).
-    fn arrival_at(&self, block: u32, core: u32, t: EventTime) -> Option<(u32, u32, EventTime)> {
-        self.arrivals.get(&(block, core, t))?.first().copied()
+    fn arrival_at(&self, block: u32, core: u32, t: EventTime) -> Option<LanePoint> {
+        self.arrivals.get((block, core, t)).next().copied()
     }
 
     /// Cross-lane arrival fallback: any grid arrival edge landing at `t`.
-    fn arrival_any(&self, t: EventTime) -> Option<(u32, u32, EventTime)> {
-        self.arrivals_by_time.get(&t)?.first().copied()
+    fn arrival_any(&self, t: EventTime) -> Option<LanePoint> {
+        self.arrivals_by_time.get(t).next().copied()
     }
 
-    /// First busy interval ending at `t` whose lane satisfies `pred`,
-    /// in deterministic lane order. Zero-length intervals are skipped:
-    /// they cannot justify the passage of time and would loop the walk.
-    fn busy_at<F: Fn(&Lane) -> bool>(&self, t: EventTime, pred: F) -> Option<(usize, usize)> {
-        let cands = self.busy_end.get(&t)?;
-        cands
-            .iter()
-            .find(|(l, i)| {
-                let iv = &self.lanes[*l].ivs[*i];
-                iv.start < iv.end && pred(&self.lanes[*l])
-            })
-            .copied()
+    /// First busy interval ending at `t` on `block` (and `core`, if
+    /// given), or on any lane, in deterministic lane order. Zero-length
+    /// intervals are skipped: they cannot justify the passage of time and
+    /// would loop the walk.
+    fn busy_at(&self, t: EventTime, near: Option<(u32, Option<u32>)>) -> Option<(usize, usize)> {
+        let lanes = self.lanes();
+        let range = match near {
+            // Lanes are in (block, core, engine) order, so those of one
+            // block or core are contiguous.
+            Some((block, core)) => {
+                let key = |l: &Lane| (l.block, core.map(|_| l.core));
+                let lo = lanes.partition_point(|l| key(l) < (block, core));
+                lo..lo + lanes[lo..].partition_point(|l| key(l) == (block, core))
+            }
+            None => 0..lanes.len(),
+        };
+        self.first_ending_at(t, range, true, |iv, _| iv.start < iv.end)
     }
 
     /// First unvisited stall interval ending at `t`.
-    fn stall_at(&self, t: EventTime, visited: &HashSet<(usize, usize)>) -> Option<(usize, usize)> {
-        let cands = self.stall_end.get(&t)?;
-        cands.iter().find(|c| !visited.contains(c)).copied()
+    fn stall_at(&self, t: EventTime, visited: &[(usize, usize)]) -> Option<(usize, usize)> {
+        let all = 0..self.lanes().len();
+        self.first_ending_at(t, all, false, |_, at| !visited.contains(&at))
+    }
+
+    /// First busy (or stall) interval ending at `t` that `accept`s,
+    /// scanning `lanes` in order and each lane's intervals in order.
+    fn first_ending_at(
+        &self,
+        t: EventTime,
+        lanes: std::ops::Range<usize>,
+        busy: bool,
+        accept: impl Fn(&Iv, (usize, usize)) -> bool,
+    ) -> Option<(usize, usize)> {
+        let all = self.lanes();
+        lanes.into_iter().find_map(|l| {
+            let lane = &all[l];
+            lane.ending_at(t)
+                .find(|&i| {
+                    let iv = &lane.ivs[i];
+                    matches!(iv.kind, IvKind::Busy(_)) == busy && accept(iv, (l, i))
+                })
+                .map(|i| (l, i))
+        })
+    }
+
+    fn lanes(&self) -> &[Lane] {
+        self.lanes.get_or_init(|| build_lanes(self.input))
+    }
+
+    /// Whether a busy interval of `engine` on `(block, core)` is a flag
+    /// instruction, and whether it is a grid-flag (look-back chain) one.
+    /// Only the intervals on the path are ever asked.
+    fn flag_tags(&self, block: u32, core: u32, engine: EngineKind, iv: &Iv) -> (bool, bool) {
+        if engine != EngineKind::FLAG_ENGINE {
+            return (false, false);
+        }
+        let at = (block, core, iv.end);
+        let dur = iv.end - iv.start;
+        let chain = self.chain_times.binary_search(&at).is_ok();
+        let flag = self.flag_times.binary_search(&at).is_ok()
+            || dur == self.input.flag_set_cycles
+            || dur == self.input.flag_wait_cycles;
+        (flag || chain, chain)
     }
 
     /// Resolves the wait edges arriving on `(block, core)` at `t` to a
@@ -495,59 +573,48 @@ impl<'a> Analyzer<'a> {
     /// stall and never reaches this lookup).
     fn wire_at(&self, block: u32, core: u32, t: EventTime) -> Option<(u32, u32, EventTime, bool)> {
         let w = self.input.flag_wait_cycles;
-        for &(grid, id, token) in self.waits.get(&(block, core, t))? {
-            if let Some(&(pb, pc, ts)) = self.sets.get(&(grid, id, token)) {
-                if ts + w == t {
-                    return Some((pb, pc, ts, grid));
-                }
-            }
-        }
-        None
+        self.waits.get((block, core, t)).find_map(|&key| {
+            let &(pb, pc, ts) = self.sets.last(key)?;
+            (ts + w == t).then_some((pb, pc, ts, key.0))
+        })
     }
 
     /// Cross-lane wire fallback: any wait edge arriving at `t`.
     fn wire_any(&self, t: EventTime) -> Option<(u32, u32, EventTime, bool)> {
         let w = self.input.flag_wait_cycles;
-        for &(_, _, grid, id, token) in self.waits_by_time.get(&t)? {
-            if let Some(&(pb, pc, ts)) = self.sets.get(&(grid, id, token)) {
-                if ts + w == t {
-                    return Some((pb, pc, ts, grid));
-                }
-            }
-        }
-        None
+        self.waits_by_time
+            .get(t)
+            .find_map(|&(_, _, grid, id, token)| {
+                let &(pb, pc, ts) = self.sets.last((grid, id, token))?;
+                (ts + w == t).then_some((pb, pc, ts, grid))
+            })
     }
 
     /// Innermost phase span of `block` containing cycle `at`.
     fn phase_of(&self, block: u32, at: EventTime) -> &'static str {
-        if let Some(spans) = self.phase_spans.get(&block) {
-            let mut best: Option<&'static str> = None;
-            for &(s, e, name) in spans {
-                if s <= at && at < e.max(s + 1) {
-                    best = Some(name);
-                }
-                if s > at {
-                    break;
-                }
+        let mut best = "(unattributed)";
+        for &(s, e, name) in self.phase_spans.get(block) {
+            if s <= at && at < e.max(s + 1) {
+                best = name;
             }
-            if let Some(name) = best {
-                return name;
+            if s > at {
+                break;
             }
         }
-        "(unattributed)"
+        best
     }
 
     /// Runs the backward walk; returns segments in ascending order.
     fn walk(&self) -> SimResult<Vec<PathSeg>> {
         let input = self.input;
         let fw = input.flag_wait_cycles;
-        let total_ivs: usize = self.lanes.iter().map(|l| l.ivs.len()).sum();
+        let total_ivs = input.events.len() + input.stalls.len();
         let limit = 2 * total_ivs + 8 * input.rounds.len() + 64;
 
         let mut segs: Vec<PathSeg> = Vec::new();
         let mut t = input.cycles;
         let mut cur = Cursor::Final;
-        let mut visited: HashSet<(usize, usize)> = HashSet::new();
+        let mut visited: Vec<(usize, usize)> = Vec::new();
         let mut last_t = EventTime::MAX;
         let mut steps = 0usize;
 
@@ -678,7 +745,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 Cursor::Lane(l, i) => {
-                    let lane = &self.lanes[l];
+                    let lane = &self.lanes()[l];
                     let iv = lane.ivs[i];
                     if iv.end != t {
                         return Err(viol(
@@ -691,11 +758,8 @@ impl<'a> Analyzer<'a> {
                         ));
                     }
                     match iv.kind {
-                        IvKind::Busy {
-                            engine,
-                            flag,
-                            chain,
-                        } => {
+                        IvKind::Busy(engine) => {
+                            let (flag, chain) = self.flag_tags(lane.block, lane.core, engine, &iv);
                             push(
                                 &mut segs,
                                 SegClass::Busy,
@@ -774,11 +838,11 @@ impl<'a> Analyzer<'a> {
                 }
                 Cursor::Seek(near) => {
                     if let Some((b, c)) = near {
-                        if let Some((l, i)) = self.busy_at(t, |l| l.block == b && l.core == c) {
+                        if let Some((l, i)) = self.busy_at(t, Some((b, Some(c)))) {
                             cur = Cursor::Lane(l, i);
                             continue;
                         }
-                        if self.waits.contains_key(&(b, c, t)) {
+                        if self.waits.contains((b, c, t)) {
                             cur = Cursor::SeekFlag(b, c);
                             continue;
                         }
@@ -800,7 +864,7 @@ impl<'a> Analyzer<'a> {
                             cur = Cursor::Seek(Some((pb, pc)));
                             continue;
                         }
-                        if let Some((l, i)) = self.busy_at(t, |l| l.block == b) {
+                        if let Some((l, i)) = self.busy_at(t, Some((b, None))) {
                             cur = Cursor::Lane(l, i);
                             continue;
                         }
@@ -809,7 +873,7 @@ impl<'a> Analyzer<'a> {
                         cur = Cursor::Round(r);
                         continue;
                     }
-                    if let Some((l, i)) = self.busy_at(t, |_| true) {
+                    if let Some((l, i)) = self.busy_at(t, None) {
                         cur = Cursor::Lane(l, i);
                         continue;
                     }
@@ -863,7 +927,7 @@ impl<'a> Analyzer<'a> {
                         continue;
                     }
                     if let Some((l, i)) = self.stall_at(t, &visited) {
-                        visited.insert((l, i));
+                        visited.push((l, i));
                         cur = Cursor::Lane(l, i);
                         continue;
                     }

@@ -165,23 +165,54 @@ impl GlobalMemory {
         Ok(region.offset + byte_off)
     }
 
-    /// Device-side read (counted as HBM traffic).
-    pub fn device_read(&self, region: Region, byte_off: usize, dst: &mut [u8]) -> SimResult<()> {
-        let start = self.check("device_read", region, byte_off, dst.len())?;
+    /// Device-side read of `dst.len()` elements starting `byte_off` bytes
+    /// into `region` (counted as HBM traffic).
+    pub fn device_read<T: Element>(
+        &self,
+        region: Region,
+        byte_off: usize,
+        dst: &mut [T],
+    ) -> SimResult<()> {
+        let len = dst.len() * T::SIZE;
+        let start = self.check("device_read", region, byte_off, len)?;
         let bytes = self.bytes.read().expect("GlobalMemory lock poisoned");
-        dst.copy_from_slice(&bytes[start..start + dst.len()]);
+        T::read_slice_le(&bytes[start..start + len], dst);
         self.device_bytes_read
-            .fetch_add(dst.len() as u64, Ordering::Relaxed);
+            .fetch_add(len as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Device-side write (counted as HBM traffic).
-    pub fn device_write(&self, region: Region, byte_off: usize, src: &[u8]) -> SimResult<()> {
-        let start = self.check("device_write", region, byte_off, src.len())?;
+    /// Device-side write of `src` starting `byte_off` bytes into `region`
+    /// (counted as HBM traffic).
+    pub fn device_write<T: Element>(
+        &self,
+        region: Region,
+        byte_off: usize,
+        src: &[T],
+    ) -> SimResult<()> {
+        self.device_write_map(region, byte_off, src, |v| v)
+    }
+
+    /// [`Self::device_write`] of `src` converted element-wise by `f`,
+    /// straight into global memory.
+    pub fn device_write_map<S: Copy, T: Element>(
+        &self,
+        region: Region,
+        byte_off: usize,
+        src: &[S],
+        f: impl Fn(S) -> T,
+    ) -> SimResult<()> {
+        let len = src.len() * T::SIZE;
+        let start = self.check("device_write", region, byte_off, len)?;
         let mut bytes = self.bytes.write().expect("GlobalMemory lock poisoned");
-        bytes[start..start + src.len()].copy_from_slice(src);
+        for (&v, out) in src
+            .iter()
+            .zip(bytes[start..start + len].chunks_exact_mut(T::SIZE))
+        {
+            f(v).write_le(out);
+        }
         self.device_bytes_written
-            .fetch_add(src.len() as u64, Ordering::Relaxed);
+            .fetch_add(len as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -196,9 +227,7 @@ impl GlobalMemory {
         let len = src.len() * T::SIZE;
         let start = self.check("host_write_slice", region, byte_off, len)?;
         let mut bytes = self.bytes.write().expect("GlobalMemory lock poisoned");
-        for (i, v) in src.iter().enumerate() {
-            v.write_le(&mut bytes[start + i * T::SIZE..start + (i + 1) * T::SIZE]);
-        }
+        T::write_slice_le(src, &mut bytes[start..start + len]);
         Ok(())
     }
 
@@ -213,9 +242,9 @@ impl GlobalMemory {
         let nbytes = len * T::SIZE;
         let start = self.check("host_read_slice", region, byte_off, nbytes)?;
         let bytes = self.bytes.read().expect("GlobalMemory lock poisoned");
-        Ok((0..len)
-            .map(|i| T::read_le(&bytes[start + i * T::SIZE..start + (i + 1) * T::SIZE]))
-            .collect())
+        let mut out = vec![T::zero(); len];
+        T::read_slice_le(&bytes[start..start + nbytes], &mut out);
+        Ok(out)
     }
 
     /// Host-side upload of a whole vector into a fresh allocation.

@@ -35,7 +35,7 @@ use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
 use crate::hb::{self, Severity};
 use crate::report::KernelReport;
-use crate::trace::{HbEvent, TraceEvent};
+use crate::trace::{HbEvent, StreamIndex, TraceEvent};
 use std::collections::HashMap;
 
 /// How much runtime validation the simulator performs.
@@ -117,7 +117,9 @@ pub struct ScratchTracker {
     active: bool,
     /// Live ranges per pad, kept sorted by offset: `(offset, len, id)`.
     ranges: [Vec<(usize, usize, u64)>; TRACKED_PADS],
-    live: HashMap<u64, AllocInfo>,
+    /// Live allocations: a handful per core, so a scan beats hashing on
+    /// the per-instruction [`ScratchTracker::check_use`] path.
+    live: Vec<(u64, AllocInfo)>,
     freed: HashMap<u64, AllocInfo>,
 }
 
@@ -165,7 +167,7 @@ impl ScratchTracker {
         }
         ranges.insert(slot.min(ranges.len()), (offset, len, id));
         ranges.sort_unstable_by_key(|&(s, _, _)| s);
-        self.live.insert(
+        self.live.push((
             id,
             AllocInfo {
                 pad,
@@ -173,7 +175,7 @@ impl ScratchTracker {
                 len,
                 buffer,
             },
-        );
+        ));
     }
 
     /// Validates and records a free of allocation `id`. Freeing an
@@ -183,7 +185,8 @@ impl ScratchTracker {
         if !self.active || id == 0 {
             return Ok(());
         }
-        if let Some(info) = self.live.remove(&id) {
+        if let Some(pos) = self.live.iter().position(|&(lid, _)| lid == id) {
+            let (_, info) = self.live.swap_remove(pos);
             self.ranges[info.pad].retain(|&(_, _, rid)| rid != id);
             self.freed.insert(id, info);
             return Ok(());
@@ -203,7 +206,7 @@ impl ScratchTracker {
     /// addresses); a freed allocation with no such conflict is a plain
     /// use-after-free. Unknown ids are foreign and ignored.
     pub fn check_use(&self, id: u64, what: &'static str) -> SimResult<()> {
-        if !self.active || id == 0 || self.live.contains_key(&id) {
+        if !self.active || id == 0 || self.live.iter().any(|&(lid, _)| lid == id) {
             return Ok(());
         }
         let Some(info) = self.freed.get(&id) else {
@@ -237,7 +240,8 @@ impl ScratchTracker {
 /// (`end >= start`) and start at or after the previous interval's end —
 /// the in-order engine queues can never overlap two instructions.
 pub fn audit_trace_events(events: &[TraceEvent]) -> SimResult<()> {
-    let mut last_end: HashMap<(u32, u32, usize), u64> = HashMap::new();
+    let index = StreamIndex::new(events.iter().map(|e| (e.block, e.core)));
+    let mut last_end: Vec<Option<u64>> = vec![None; index.len()];
     for e in events {
         if e.end < e.start {
             return Err(SimError::AccountingViolation {
@@ -252,8 +256,8 @@ pub fn audit_trace_events(events: &[TraceEvent]) -> SimResult<()> {
                 ),
             });
         }
-        let key = (e.block, e.core, e.engine.index());
-        if let Some(&prev) = last_end.get(&key) {
+        let slot = index.slot(e.block, e.core, e.engine);
+        if let Some(prev) = last_end[slot] {
             if e.start < prev {
                 return Err(SimError::AccountingViolation {
                     what: "engine timeline monotonicity",
@@ -268,7 +272,7 @@ pub fn audit_trace_events(events: &[TraceEvent]) -> SimResult<()> {
                 });
             }
         }
-        last_end.insert(key, e.end);
+        last_end[slot] = Some(e.end);
     }
     Ok(())
 }

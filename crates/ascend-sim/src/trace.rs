@@ -12,6 +12,49 @@ use crate::error::{SimError, SimResult};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Dense slots for per-`(block, core, engine)` streams of a launch's
+/// records. Block and core ids are launch-grid coordinates, so an array
+/// indexed by them replaces a hash map, and slot order is key order.
+pub(crate) struct StreamIndex {
+    cores: usize,
+    len: usize,
+}
+
+impl StreamIndex {
+    /// Sizes the index for the `(block, core)` ids in `ids`.
+    pub(crate) fn new(ids: impl Iterator<Item = (u32, u32)>) -> Self {
+        let (mut blocks, mut cores) = (0, 1);
+        for (b, c) in ids {
+            blocks = blocks.max(b as usize + 1);
+            cores = cores.max(c as usize + 1);
+        }
+        StreamIndex {
+            cores,
+            len: blocks * cores * EngineKind::ALL.len(),
+        }
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot of stream `(block, core, engine)`.
+    pub(crate) fn slot(&self, block: u32, core: u32, engine: EngineKind) -> usize {
+        (block as usize * self.cores + core as usize) * EngineKind::ALL.len() + engine.index()
+    }
+
+    /// The `(block, core, engine index)` key of `slot`.
+    pub(crate) fn key(&self, slot: usize) -> (u32, u32, usize) {
+        let engines = EngineKind::ALL.len();
+        (
+            (slot / engines / self.cores) as u32,
+            (slot / engines % self.cores) as u32,
+            slot % engines,
+        )
+    }
+}
+
 /// One engine-occupancy interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -523,17 +566,15 @@ pub fn json_escape(s: &str) -> String {
 /// (`min(blocks, ai_cores)`); event order does not matter — intervals
 /// are sorted per slot before checking.
 pub fn audit_physical_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
-    /// One (slot, core, engine) stream of (start, end, block) intervals.
-    type SlotStreams = std::collections::HashMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
     let phys = phys_blocks.max(1);
-    let mut streams: SlotStreams = std::collections::HashMap::new();
+    let index = StreamIndex::new(events.iter().map(|e| (e.block % phys, e.core)));
+    // One (slot, core, engine) stream of (start, end, block) intervals.
+    let mut streams: Vec<Vec<(u64, u64, u32)>> = vec![Vec::new(); index.len()];
     for e in events {
-        streams
-            .entry((e.block % phys, e.core, e.engine.index()))
-            .or_default()
-            .push((e.start, e.end, e.block));
+        streams[index.slot(e.block % phys, e.core, e.engine)].push((e.start, e.end, e.block));
     }
-    for ((slot, core, engine), mut iv) in streams {
+    for (i, mut iv) in streams.into_iter().enumerate() {
+        let (slot, core, engine) = index.key(i);
         iv.sort_unstable();
         for w in iv.windows(2) {
             let (prev_start, prev_end, prev_block) = w[0];

@@ -49,6 +49,7 @@
 //! after the launch drains.
 
 use crate::core::Core;
+use ascend_sim::hostclock::{HostPhase, LaunchClock};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::prof::{self, KernelProfile, SpanRecorder};
 use ascend_sim::sync::{FlagFile, Scheduler};
@@ -399,6 +400,7 @@ where
     // stretches the end to the grid's bandwidth bound. The gating
     // discipline (serial baton vs parallel rounds — byte-identical
     // reports either way) comes from the spec's scheduler policy.
+    let mut clock = LaunchClock::start();
     let sync = Scheduler::with_slots_mode(
         block_dim as usize,
         block_dim.min(spec.ai_cores) as usize,
@@ -420,6 +422,7 @@ where
             .map(|h| h.join().expect("block thread panicked"))
             .collect()
     });
+    clock.lap(HostPhase::Blocks);
     let cycles = outcomes.iter().map(|o| o.end).max().unwrap_or(0);
     let (sync_rounds, barrier_waits, flag_waits) = (
         sync.rounds().saturating_sub(1),
@@ -471,6 +474,7 @@ where
         flag_waits,
         critical_path: None,
     };
+    clock.lap(HostPhase::Harvest);
     if spec.validation.audits() {
         simcheck::audit_trace_events(&events)?;
         ascend_sim::trace::audit_physical_occupancy(&events, block_dim.min(spec.ai_cores))?;
@@ -491,6 +495,7 @@ where
         // offline `simlint` CLI.
         simcheck::audit_schedule(&hb_events)?;
     }
+    clock.lap(HostPhase::Audits);
     // Critical-path extraction doubles as the makespan-identity audit:
     // the backward causal walk must explain every cycle of the reported
     // makespan from the recorded events, stalls, flag edges and
@@ -518,6 +523,8 @@ where
         report.critical_path = Some(crit.summary.clone());
         critical = Some(crit);
     }
+    clock.lap(HostPhase::CritPath);
+    clock.finish(cycles);
     if let Some(collector) = collector {
         let profile_events = if trace {
             events.clone()

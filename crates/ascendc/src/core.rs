@@ -590,11 +590,7 @@ impl<'a> Core<'a> {
         self.check_pos_on_core("copy_out_cast", src.pos)?;
         self.check_live("copy_out_cast src", src)?;
         src.check_range("copy_out_cast src", src_off, len)?;
-        let converted: Vec<D> = src.data[src_off..src_off + len]
-            .iter()
-            .map(|v| D::from_f64(v.to_f64()))
-            .collect();
-        dst.device_write(dst_off, &converted)?;
+        dst.device_write_map(dst_off, &src.data[src_off..src_off + len], S::cast)?;
         let engine = if src.pos == ScratchpadKind::L0C {
             EngineKind::Fixp
         } else {
@@ -658,8 +654,11 @@ impl<'a> Core<'a> {
         self.check_live("copy_local_cast src", src)?;
         dst.check_range("copy_local_cast dst", dst_off, len)?;
         src.check_range("copy_local_cast src", src_off, len)?;
-        for i in 0..len {
-            dst.data[dst_off + i] = D::from_f64(src.data[src_off + i].to_f64());
+        for (d, s) in dst.data[dst_off..dst_off + len]
+            .iter_mut()
+            .zip(&src.data[src_off..src_off + len])
+        {
+            *d = s.cast();
         }
         let engine = if src.pos == ScratchpadKind::L0C {
             EngineKind::Fixp
@@ -952,14 +951,22 @@ fn mmad_functional<T: CubeInput>(
             *slot = T::Acc::zero();
         }
     }
+    // The fast paths widen a row of A into `row` first: a vectorizable
+    // pass, which keeps the element conversions off the serial
+    // running-sum chain.
+    let mut row = vec![T::Acc::zero(); k];
     // Fast path 1: B is upper-triangular ones (incl. diagonal), k == n.
     // C[i][j] += sum_{p <= j} A[i][p]  — row-wise inclusive prefix sums.
     if k == n && is_upper_ones(b, k) {
         for i in 0..m {
+            widen_into(&mut row, &a[i * k..(i + 1) * k]);
             let mut run = T::Acc::zero();
-            for j in 0..n {
-                run = run.add(a[i * k + j].widen());
-                c[i * n + j] = c[i * n + j].add(run);
+            for v in row.iter_mut() {
+                run = run.add(*v);
+                *v = run;
+            }
+            for (cv, &v) in c[i * n..(i + 1) * n].iter_mut().zip(&row) {
+                *cv = cv.add(v);
             }
         }
         return;
@@ -967,12 +974,10 @@ fn mmad_functional<T: CubeInput>(
     // Fast path 2: B is all ones. C[i][j] += rowsum(A[i]).
     if is_all_ones(b, k * n) {
         for i in 0..m {
-            let mut run = T::Acc::zero();
-            for p in 0..k {
-                run = run.add(a[i * k + p].widen());
-            }
-            for j in 0..n {
-                c[i * n + j] = c[i * n + j].add(run);
+            widen_into(&mut row, &a[i * k..(i + 1) * k]);
+            let run = row.iter().fold(T::Acc::zero(), |run, &v| run.add(v));
+            for cv in &mut c[i * n..(i + 1) * n] {
+                *cv = cv.add(run);
             }
         }
         return;
@@ -1004,38 +1009,36 @@ fn mmad_functional<T: CubeInput>(
     }
 }
 
+fn widen_into<T: CubeInput>(dst: &mut [T::Acc], src: &[T]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s.widen();
+    }
+}
+
+/// True if every element of `v` equals `x`. No early exit, so the
+/// compare vectorizes; callers exit early between rows.
+fn all_eq<T: Numeric>(v: &[T], x: T) -> bool {
+    v.iter().fold(true, |ok, &e| ok & (e == x))
+}
+
 fn is_upper_ones<T: Numeric>(b: &[T], s: usize) -> bool {
-    if b.len() < s * s {
-        return false;
-    }
-    for i in 0..s {
-        for j in 0..s {
-            let expect = if i <= j { T::one() } else { T::zero() };
-            if b[i * s + j] != expect {
-                return false;
-            }
-        }
-    }
-    true
+    b.len() >= s * s
+        && b.chunks_exact(s.max(1))
+            .take(s)
+            .enumerate()
+            .all(|(i, row)| all_eq(&row[..i], T::zero()) && all_eq(&row[i..], T::one()))
 }
 
 fn is_all_ones<T: Numeric>(b: &[T], len: usize) -> bool {
-    b.len() >= len && b[..len].iter().all(|&v| v == T::one())
+    b.len() >= len && all_eq(&b[..len], T::one())
 }
 
 fn is_strict_lower_ones<T: Numeric>(a: &[T], s: usize) -> bool {
-    if a.len() < s * s {
-        return false;
-    }
-    for i in 0..s {
-        for j in 0..s {
-            let expect = if i > j { T::one() } else { T::zero() };
-            if a[i * s + j] != expect {
-                return false;
-            }
-        }
-    }
-    true
+    a.len() >= s * s
+        && a.chunks_exact(s.max(1))
+            .take(s)
+            .enumerate()
+            .all(|(i, row)| all_eq(&row[..i], T::one()) && all_eq(&row[i..], T::zero()))
 }
 
 #[cfg(test)]

@@ -98,13 +98,7 @@ impl<T: Element> GlobalTensor<T> {
 
     /// Device-side read used by MTE transfers (counted as HBM traffic).
     pub(crate) fn device_read(&self, elem_off: usize, out: &mut [T]) -> SimResult<()> {
-        let mut bytes = vec![0u8; out.len() * T::SIZE];
-        self.gm
-            .device_read(self.region, elem_off * T::SIZE, &mut bytes)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::read_le(&bytes[i * T::SIZE..(i + 1) * T::SIZE]);
-        }
-        Ok(())
+        self.gm.device_read(self.region, elem_off * T::SIZE, out)
     }
 
     /// Charges strided-access padding traffic (line granularity waste).
@@ -114,12 +108,19 @@ impl<T: Element> GlobalTensor<T> {
 
     /// Device-side write used by MTE transfers (counted as HBM traffic).
     pub(crate) fn device_write(&self, elem_off: usize, src: &[T]) -> SimResult<()> {
-        let mut bytes = vec![0u8; src.len() * T::SIZE];
-        for (i, v) in src.iter().enumerate() {
-            v.write_le(&mut bytes[i * T::SIZE..(i + 1) * T::SIZE]);
-        }
+        self.gm.device_write(self.region, elem_off * T::SIZE, src)
+    }
+
+    /// [`Self::device_write`] of `src` converted element-wise by `f`, with
+    /// no intermediate buffer (the FIXP pipe's cast on the way out).
+    pub(crate) fn device_write_map<S: Copy>(
+        &self,
+        elem_off: usize,
+        src: &[S],
+        f: impl Fn(S) -> T,
+    ) -> SimResult<()> {
         self.gm
-            .device_write(self.region, elem_off * T::SIZE, &bytes)
+            .device_write_map(self.region, elem_off * T::SIZE, src, f)
     }
 }
 

@@ -59,6 +59,12 @@ impl_bits!(u8);
 impl_bits!(u16);
 impl_bits!(u32);
 
+fn compare_into<T: Copy>(dst: &mut [u8], src: &[T], hit: impl Fn(T) -> bool) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = u8::from(hit(v));
+    }
+}
+
 impl Core<'_> {
     fn check_vec<T: Element>(&self, what: &'static str, t: &LocalTensor<T>) -> SimResult<()> {
         if self.kind != CoreKind::Vector {
@@ -360,12 +366,13 @@ impl Core<'_> {
         self.check_vec("GatherMask", mask)?;
         src.check_range("GatherMask src", off, len)?;
         mask.check_range("GatherMask mask", off, len)?;
-        let mut count = 0;
-        for i in 0..len {
-            if mask.data[off + i] != 0 {
-                dst.check_range("GatherMask dst", dst_off + count, 1)?;
-                dst.data[dst_off + count] = src.data[off + i];
-                count += 1;
+        let bits = &mask.data[off..off + len];
+        let count = bits.iter().filter(|&&m| m != 0).count();
+        dst.check_range("GatherMask dst", dst_off, count)?;
+        let mut out = dst.data[dst_off..dst_off + count].iter_mut();
+        for (&m, &v) in bits.iter().zip(&src.data[off..off + len]) {
+            if m != 0 {
+                *out.next().expect("sized by the mask count") = v;
             }
         }
         let cost = self.spec.cost_vector_reduce((len + count) * T::SIZE);
@@ -392,17 +399,18 @@ impl Core<'_> {
         self.check_vec("Compare", src)?;
         dst_mask.check_range("Compare dst", off, len)?;
         src.check_range("Compare src", off, len)?;
-        for i in 0..len {
-            let v = src.data[off + i];
-            let hit = match mode {
-                CmpMode::Lt => v < scalar,
-                CmpMode::Le => v <= scalar,
-                CmpMode::Gt => v > scalar,
-                CmpMode::Ge => v >= scalar,
-                CmpMode::Eq => v == scalar,
-                CmpMode::Ne => v != scalar,
-            };
-            dst_mask.data[off + i] = u8::from(hit);
+        let (dst, vals) = (
+            &mut dst_mask.data[off..off + len],
+            &src.data[off..off + len],
+        );
+        // One loop per mode, so each compiles to a vector compare.
+        match mode {
+            CmpMode::Lt => compare_into(dst, vals, |v| v < scalar),
+            CmpMode::Le => compare_into(dst, vals, |v| v <= scalar),
+            CmpMode::Gt => compare_into(dst, vals, |v| v > scalar),
+            CmpMode::Ge => compare_into(dst, vals, |v| v >= scalar),
+            CmpMode::Eq => compare_into(dst, vals, |v| v == scalar),
+            CmpMode::Ne => compare_into(dst, vals, |v| v != scalar),
         }
         let done = self.vec_exec(len * T::SIZE, &[dst_mask.ready, src.ready, scalar_ready])?;
         dst_mask.ready = done;
@@ -448,8 +456,11 @@ impl Core<'_> {
         self.check_vec("Cast", src)?;
         dst.check_range("Cast dst", off, len)?;
         src.check_range("Cast src", off, len)?;
-        for i in 0..len {
-            dst.data[off + i] = D::from_f64(src.data[off + i].to_f64());
+        for (d, s) in dst.data[off..off + len]
+            .iter_mut()
+            .zip(&src.data[off..off + len])
+        {
+            *d = s.cast();
         }
         let done = self.vec_exec(len * S::SIZE.max(D::SIZE), &[dst.ready, src.ready])?;
         dst.ready = done;
@@ -477,10 +488,16 @@ impl Core<'_> {
         }
         dst.check_range("BitCast dst", off, len)?;
         src.check_range("BitCast src", off, len)?;
-        let mut buf = vec![0u8; S::SIZE];
-        for i in 0..len {
-            src.data[off + i].write_le(&mut buf);
-            dst.data[off + i] = D::read_le(&buf);
+        // Elements are at most 4 bytes wide; a register-sized stack buffer
+        // carries each one's bits across.
+        let mut buf = [0u8; 8];
+        let buf = &mut buf[..S::SIZE];
+        for (d, s) in dst.data[off..off + len]
+            .iter_mut()
+            .zip(&src.data[off..off + len])
+        {
+            s.write_le(buf);
+            *d = D::read_le(buf);
         }
         let done = self.vec_exec(len * S::SIZE, &[dst.ready, src.ready])?;
         dst.ready = done;

@@ -32,6 +32,7 @@
 //! including the makespan identity on every `critical_path` section)
 //! before it is written.
 
+use ascend_sim::hostclock::{self, HostPhase};
 use ascend_sim::{ChipSpec, KernelReport};
 use ascendc::GlobalTensor;
 use bench::{
@@ -348,8 +349,10 @@ fn json_report(spec: &ChipSpec, quick: bool) {
 
     let total_points = points.len();
     let wall0 = Instant::now();
+    let phases0 = hostclock::snapshot();
     let outcomes = bench::run_points(points, jobs());
     let host_seconds = wall0.elapsed().as_secs_f64().max(1e-6);
+    let phases = hostclock::snapshot().since(&phases0);
 
     let mut reports: Vec<KernelReport> = Vec::new();
     let mut kernel_seconds: Vec<f64> = Vec::new();
@@ -370,9 +373,22 @@ fn json_report(spec: &ChipSpec, quick: bool) {
     // The host section is the only part of the document that depends on
     // wall clocks. It is kept flat (no nested braces) so CI can strip it
     // with one regular expression before byte-comparing runs.
+    // Its launch-phase sums are host seconds spent inside launches on
+    // all job threads together.
+    let phase_seconds: String = HostPhase::ALL
+        .iter()
+        .map(|p| {
+            format!(
+                ",\"{}_seconds\":{:.6}",
+                p.name(),
+                phases.seconds[*p as usize]
+            )
+        })
+        .collect();
     let host = format!(
         "{{\"jobs\":{},\"points\":{},\"host_seconds\":{:.6},\
-         \"serial_seconds_est\":{:.6},\"kernel_host_seconds\":[{}]}}",
+         \"serial_seconds_est\":{:.6},\"kernel_host_seconds\":[{}],\
+         \"launches\":{},\"sim_cycles\":{}{},\"sim_cycles_per_host_second\":{:.1}}}",
         jobs(),
         total_points,
         host_seconds,
@@ -381,7 +397,11 @@ fn json_report(spec: &ChipSpec, quick: bool) {
             .iter()
             .map(|t| format!("{t:.6}"))
             .collect::<Vec<_>>()
-            .join(",")
+            .join(","),
+        phases.launches,
+        phases.sim_cycles,
+        phase_seconds,
+        phases.cycles_per_host_second()
     );
     let doc = format!(
         "{{\"schema\":\"bench-scan/v5\",\"chip\":{{\"name\":\"{}\",\"ai_cores\":{},\
@@ -417,6 +437,16 @@ fn json_report(spec: &ChipSpec, quick: bool) {
         host_seconds,
         serial_est / host_seconds,
         serial_est
+    );
+    let per_phase: Vec<String> = HostPhase::ALL
+        .iter()
+        .map(|p| format!("{} {:.2}s", p.name(), phases.seconds[*p as usize]))
+        .collect();
+    println!(
+        "host: {} launches, {} ({:.0} simulated cycles per host second)",
+        phases.launches,
+        per_phase.join(", "),
+        phases.cycles_per_host_second()
     );
     for r in &reports {
         println!(

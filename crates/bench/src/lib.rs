@@ -4,6 +4,7 @@
 
 #![forbid(unsafe_code)]
 
+use ascend_sim::hostclock::HostPhase;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::{ChipSpec, EngineKind, KernelReport};
 use ascendc::{GlobalTensor, SimResult};
@@ -488,8 +489,12 @@ impl JsonChecker<'_> {
 ///   `scanc_time_us` (equal to `mcscan_time_us` when it ran MCScan,
 ///   whose configuration is the same);
 /// * a flat `host` section is present with `jobs >= 1`, `points >= 1`,
-///   a positive `host_seconds` wall-clock, a `serial_seconds_est`, and
-///   one positive `kernel_host_seconds` entry per kernel.
+///   a positive `host_seconds` wall-clock, a `serial_seconds_est`, one
+///   positive `kernel_host_seconds` entry per kernel, `launches >= 1`
+///   with their `sim_cycles`, a non-negative seconds sum per launch
+///   phase (`block_exec`, `harvest`, `audit`, `critpath`) whose total
+///   fits in `jobs · host_seconds` (launches run one per job thread),
+///   and a positive `sim_cycles_per_host_second`.
 ///
 /// These are exactly the invariants that historically broke silently:
 /// runaway contention watermarks and over-peak traffic attribution.
@@ -676,6 +681,32 @@ pub fn validate_bench_json(doc: &str, spec: &ChipSpec) -> Result<(), String> {
     }
     if let Some(bad) = per_kernel.iter().find(|&&v| v <= 0.0) {
         return Err(format!("kernel_host_seconds entry {bad} must be positive"));
+    }
+    let launches = json_num_field(host, "launches")?;
+    if launches < 1.0 {
+        return Err(format!("host launches {launches} must be at least 1"));
+    }
+    json_num_field(host, "sim_cycles")?;
+    let mut in_launches = 0.0;
+    for phase in HostPhase::ALL {
+        let key = format!("{}_seconds", phase.name());
+        let secs = json_num_field(host, &key)?;
+        if secs < 0.0 {
+            return Err(format!("host {key} {secs} must not be negative"));
+        }
+        in_launches += secs;
+    }
+    // Six-decimal rounding of each field leaves at most 1e-6 s apiece.
+    if in_launches > jobs * host_seconds + 1e-5 {
+        return Err(format!(
+            "launch phases sum to {in_launches} s, more than {jobs} jobs x {host_seconds} s"
+        ));
+    }
+    let rate = json_num_field(host, "sim_cycles_per_host_second")?;
+    if rate <= 0.0 {
+        return Err(format!(
+            "sim_cycles_per_host_second {rate} must be positive"
+        ));
     }
     Ok(())
 }
@@ -925,7 +956,10 @@ mod tests {
             "{{\"schema\":\"bench-scan/v5\",\"chip\":{{\"name\":\"{}\"}},\
              \"kernels\":[{}],\"traffic\":[],\
              \"host\":{{\"jobs\":1,\"points\":1,\"host_seconds\":0.25,\
-             \"serial_seconds_est\":0.25,\"kernel_host_seconds\":[0.25]}}}}",
+             \"serial_seconds_est\":0.25,\"kernel_host_seconds\":[0.25],\
+             \"launches\":1,\"sim_cycles\":5000,\"block_exec_seconds\":0.1,\
+             \"harvest_seconds\":0.01,\"audit_seconds\":0.02,\"critpath_seconds\":0.03,\
+             \"sim_cycles_per_host_second\":31250.0}}}}",
             spec.name, kernel_json
         )
     }
@@ -1138,6 +1172,37 @@ mod tests {
         );
         let err = validate_bench_json(&bad, &spec).unwrap_err();
         assert!(err.contains("kernel_host_seconds"), "{err}");
+
+        // Every launch-phase key is required.
+        for key in [
+            "launches",
+            "sim_cycles",
+            "block_exec_seconds",
+            "harvest_seconds",
+            "audit_seconds",
+            "critpath_seconds",
+            "sim_cycles_per_host_second",
+        ] {
+            let bad = good.replace(&format!("\"{key}\":"), "\"other\":");
+            let err = validate_bench_json(&bad, &spec).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        let bad = good.replace("\"launches\":1", "\"launches\":0");
+        let err = validate_bench_json(&bad, &spec).unwrap_err();
+        assert!(err.contains("launches"), "{err}");
+        let bad = good.replace("\"audit_seconds\":0.02", "\"audit_seconds\":-0.02");
+        let err = validate_bench_json(&bad, &spec).unwrap_err();
+        assert!(err.contains("audit_seconds"), "{err}");
+        // Launch phases cannot outlast every job thread's wall clock.
+        let bad = good.replace("\"block_exec_seconds\":0.1", "\"block_exec_seconds\":0.3");
+        let err = validate_bench_json(&bad, &spec).unwrap_err();
+        assert!(err.contains("launch phases"), "{err}");
+        let bad = good.replace(
+            "\"sim_cycles_per_host_second\":31250.0",
+            "\"sim_cycles_per_host_second\":0",
+        );
+        let err = validate_bench_json(&bad, &spec).unwrap_err();
+        assert!(err.contains("sim_cycles_per_host_second"), "{err}");
     }
 
     #[test]

@@ -78,6 +78,24 @@ pub trait Element: Copy + Send + Sync + PartialEq + fmt::Debug + 'static {
     /// Deserializes from `src` (`src.len() == Self::SIZE`).
     fn read_le(src: &[u8]) -> Self;
 
+    /// Serializes a whole slice (`out.len() == src.len() * Self::SIZE`).
+    #[inline]
+    fn write_slice_le(src: &[Self], out: &mut [u8]) {
+        debug_assert_eq!(out.len(), src.len() * Self::SIZE);
+        for (v, bytes) in src.iter().zip(out.chunks_exact_mut(Self::SIZE)) {
+            v.write_le(bytes);
+        }
+    }
+
+    /// Deserializes a whole slice (`src.len() == out.len() * Self::SIZE`).
+    #[inline]
+    fn read_slice_le(src: &[u8], out: &mut [Self]) {
+        debug_assert_eq!(src.len(), out.len() * Self::SIZE);
+        for (slot, bytes) in out.iter_mut().zip(src.chunks_exact(Self::SIZE)) {
+            *slot = Self::read_le(bytes);
+        }
+    }
+
     /// The additive identity.
     fn zero() -> Self;
 }
@@ -158,6 +176,16 @@ pub trait Numeric: Element + PartialOrd {
 
     /// Lossy conversion from `f64` with the type's native rounding.
     fn from_f64(v: f64) -> Self;
+
+    /// Converts to another numeric type as the simulator's `Cast` and
+    /// casting copies do: exactly to `f64`, then with `D`'s rounding
+    /// (saturating for integers). Between the float types the `f64`
+    /// stage is exact both ways, so once inlined this is a direct
+    /// f16 ↔ f32 conversion.
+    #[inline]
+    fn cast<D: Numeric>(self) -> D {
+        D::from_f64(self.to_f64())
+    }
 }
 
 macro_rules! impl_numeric_int {
@@ -373,6 +401,28 @@ mod tests {
         rt(-123_456_789i32);
         rt(3.5f32);
         rt(F16::from_f32(2.5));
+    }
+
+    #[test]
+    fn slice_round_trip_matches_per_element_bytes() {
+        let vals = [F16::ONE, F16::NAN, F16::from_bits(0x0001), F16::MIN];
+        let mut bulk = vec![0u8; vals.len() * 2];
+        F16::write_slice_le(&vals, &mut bulk);
+        let mut each = vec![0u8; vals.len() * 2];
+        for (v, b) in vals.iter().zip(each.chunks_exact_mut(2)) {
+            v.write_le(b);
+        }
+        assert_eq!(bulk, each);
+        let mut back = [F16::ZERO; 4];
+        F16::read_slice_le(&bulk, &mut back);
+        assert_eq!(back, vals);
+        let ints = [-1i32, 7, i32::MIN];
+        let mut bytes = [0u8; 12];
+        i32::write_slice_le(&ints, &mut bytes);
+        assert_eq!(bytes[4..8], 7i32.to_le_bytes());
+        let mut out = [0i32; 3];
+        i32::read_slice_le(&bytes, &mut out);
+        assert_eq!(out, ints);
     }
 
     #[test]

@@ -61,109 +61,77 @@ impl F16 {
     /// Converts an `f32` to `F16` with round-to-nearest-even.
     ///
     /// Values above the f16 range become infinities; subnormal results are
-    /// produced exactly as IEEE demands; NaNs stay NaNs (payload is not
-    /// preserved beyond a canonical quiet bit).
+    /// produced exactly as IEEE demands; NaNs stay NaNs, quieted, with the
+    /// top 10 bits of the f32 payload kept (`0x7C01` → `0x7E01` through an
+    /// f32 round trip).
+    ///
+    /// Written as a select over every range's precomputed result, with no
+    /// data-dependent branch, so loops over slices vectorize. The normal range rounds with one
+    /// integer add (the rounding bias carries into the exponent, and past
+    /// it into the infinity pattern); the subnormal range lets the host
+    /// FPU round by adding 0.5, whose f32 ulp is the f16 subnormal
+    /// quantum 2^-24.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Inf or NaN.
-            return if man == 0 {
-                F16(sign | EXP_MASK)
-            } else {
-                F16(sign | 0x7E00 | ((man >> 13) as u16 & MAN_MASK))
-            };
-        }
-
-        // Unbiased exponent; f32 bias 127, f16 bias 15.
-        let unbiased = exp - 127;
-        if unbiased > 15 {
-            // Overflows to infinity. (The largest f16 is 65504; anything
-            // with unbiased exponent 16+ rounds to inf.)
-            return F16(sign | EXP_MASK);
-        }
-        if unbiased >= -14 {
-            // Normal range. Keep 10 mantissa bits, round-to-nearest-even
-            // on the 13 dropped bits.
-            let mut half_exp = (unbiased + 15) as u16;
-            let mut half_man = (man >> 13) as u16;
-            let round_bits = man & 0x1FFF;
-            if round_bits > 0x1000 || (round_bits == 0x1000 && (half_man & 1) == 1) {
-                half_man += 1;
-                if half_man == 0x400 {
-                    // Mantissa overflow carries into the exponent.
-                    half_man = 0;
-                    half_exp += 1;
-                    if half_exp == 0x1F {
-                        return F16(sign | EXP_MASK);
-                    }
-                }
-            }
-            return F16(sign | (half_exp << 10) | half_man);
-        }
-
-        // Subnormal or zero. The implicit leading 1 becomes explicit and
-        // the value is shifted right until the exponent reaches -14.
-        if unbiased < -25 {
-            // Too small even for the largest subnormal rounding: zero.
-            return F16(sign);
-        }
-        let full_man = man | 0x0080_0000; // make the leading 1 explicit
-        let shift = (-14 - unbiased) as u32 + 13;
-        let half_man = (full_man >> shift) as u16;
-        let dropped = full_man & ((1 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let rounded = match dropped.cmp(&halfway) {
-            Ordering::Greater => half_man + 1,
-            Ordering::Equal => half_man + (half_man & 1),
-            Ordering::Less => half_man,
+        let sign = (bits >> 16) as u16 & SIGN_MASK;
+        let mag = bits & 0x7FFF_FFFF;
+        // Normal: rebias the exponent (127 → 15) and round the 13 dropped
+        // mantissa bits to nearest, ties to the even kept mantissa.
+        let odd = (mag >> 13) & 1;
+        let normal = mag.wrapping_sub(0x3800_0000).wrapping_add(0x0FFF + odd) >> 13;
+        // |value| < 2^-14: subnormal or zero.
+        let subnormal = (f32::from_bits(mag) + 0.5)
+            .to_bits()
+            .wrapping_sub(0x3F00_0000);
+        let nan = 0x7E00 | ((mag >> 13) & u32::from(MAN_MASK));
+        let half = if mag > 0x7F80_0000 {
+            nan
+        } else if mag >= 0x4780_0000 {
+            // |value| >= 65536 or infinity.
+            u32::from(EXP_MASK)
+        } else if mag < 0x3880_0000 {
+            subnormal
+        } else {
+            normal
         };
-        F16(sign | rounded) // a carry out of the subnormal range lands on MIN_POSITIVE, which is correct
+        F16(sign | half as u16)
     }
 
     /// Converts to `f32` exactly (every f16 value is representable).
+    /// A select over precomputed results, like [`F16::from_f32`].
+    #[inline]
     pub fn to_f32(self) -> f32 {
         let sign = u32::from(self.0 & SIGN_MASK) << 16;
-        let exp = (self.0 & EXP_MASK) >> 10;
-        let man = u32::from(self.0 & MAN_MASK);
-
-        let bits = match exp {
-            0 => {
-                if man == 0 {
-                    sign // signed zero
-                } else {
-                    // Subnormal: value = man * 2^-24. Normalize by locating
-                    // the MSB (position p in 0..=9), giving 2^(p-24) * 1.frac.
-                    let p = 31 - man.leading_zeros();
-                    let exp = 103 + p; // (p - 24) + 127
-                    let frac = (man << (23 - p)) & 0x007F_FFFF;
-                    sign | (exp << 23) | frac
-                }
-            }
-            0x1F => {
-                if man == 0 {
-                    sign | 0x7F80_0000
-                } else {
-                    sign | 0x7FC0_0000 | (man << 13)
-                }
-            }
-            _ => {
-                let exp = u32::from(exp) + 127 - 15;
-                sign | (exp << 23) | (man << 13)
-            }
+        let mag = u32::from(self.0 & !SIGN_MASK);
+        // Normal: rebias the exponent (15 → 127).
+        let normal = (mag << 13) + 0x3800_0000;
+        // Zero or subnormal: mag · 2^-24 = (2^-14 + mag · 2^-24) − 2^-14,
+        // exact in f32 (and free of an int → float conversion).
+        let subnormal =
+            (f32::from_bits(0x3880_0000 | (mag << 13)) - f32::from_bits(0x3880_0000)).to_bits();
+        // Infinity, or a NaN quieted with its payload kept.
+        let quiet = if mag > 0x7C00 { 0x0040_0000 } else { 0 };
+        let special = ((mag << 13) + 0x7000_0000) | quiet;
+        let bits = if mag >= 0x7C00 {
+            special
+        } else if mag >= 0x0400 {
+            normal
+        } else {
+            subnormal
         };
-        f32::from_bits(bits)
+        f32::from_bits(sign | bits)
     }
 
-    /// Converts an `f64` (rounds through `f32`; fine for test helpers).
+    /// Converts an `f64`, rounding it to `f32` first and then to f16. The
+    /// two roundings can differ from one direct rounding on rare ties.
+    #[inline]
     pub fn from_f64(value: f64) -> Self {
         Self::from_f32(value as f32)
     }
 
     /// Converts to `f64` exactly.
+    #[inline]
     pub fn to_f64(self) -> f64 {
         f64::from(self.to_f32())
     }
@@ -200,6 +168,7 @@ impl F16 {
 
     /// IEEE total order comparison used by sorting tests: treats -NaN as
     /// the smallest and +NaN as the largest value, and -0 < +0.
+    #[inline]
     pub fn total_cmp(&self, other: &Self) -> Ordering {
         let key = |f: &F16| -> i32 {
             let bits = f.0 as i32;
@@ -228,24 +197,28 @@ impl fmt::Display for F16 {
 }
 
 impl PartialOrd for F16 {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         self.to_f32().partial_cmp(&other.to_f32())
     }
 }
 
 impl From<f32> for F16 {
+    #[inline]
     fn from(v: f32) -> Self {
         F16::from_f32(v)
     }
 }
 
 impl From<F16> for f32 {
+    #[inline]
     fn from(v: F16) -> Self {
         v.to_f32()
     }
 }
 
 impl From<i16> for F16 {
+    #[inline]
     fn from(v: i16) -> Self {
         F16::from_f32(f32::from(v))
     }

@@ -18,6 +18,11 @@ echo "==> cargo test -q (serial baton scheduler via ASCEND_SCHED)"
 # sched_equiv additionally proves their reports byte-identical.
 ASCEND_SCHED=serial cargo test -q --workspace
 
+echo "==> f16 conversions: exhaustive over all 2^32 f32 inputs (release)"
+# The branch-free F16 conversions must match the independent f64 oracle
+# on every f32 bit pattern, not only on the tier-1 sample.
+cargo test --release -q --test f16_conversion -- --ignored
+
 echo "==> perf report smoke: figures --json + trace"
 # Both binaries self-validate their output with bench::validate_json
 # before writing; CI additionally pins the stable schema keys.
@@ -33,7 +38,9 @@ for key in '"schema":"bench-scan/v5"' '"name":' '"cycles":' '"time_us":' \
     '"what_ifs":' '"name":"free_flags"' '"name":"zero_lookback"' \
     '"name":"ScanC(fp16)"' '"name":"ScanC(int8)"' '"traffic":' \
     '"scanc_lookback":' '"window":' '"chain_hops":' '"zero_lookback_speedup":' \
-    '"host":' '"jobs":' '"host_seconds":' '"kernel_host_seconds":'; do
+    '"host":' '"jobs":' '"host_seconds":' '"kernel_host_seconds":' \
+    '"launches":' '"sim_cycles":' '"block_exec_seconds":' '"harvest_seconds":' \
+    '"audit_seconds":' '"critpath_seconds":' '"sim_cycles_per_host_second":'; do
   grep -qF "$key" BENCH_scan.json \
     || { echo "BENCH_scan.json missing required key $key"; exit 1; }
 done
